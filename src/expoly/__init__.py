@@ -11,9 +11,10 @@ from .epoly import EPoly, LayerDecomposition, ord_reduce
 from .ordinals import OrdinalCNF
 from .scalars import (BaseField, GAUSSIAN_RATIONALS, GaussianRational,
                       IMAG_UNIT, RATIONALS, Rational, gaussian)
-from .errors import (BudgetExceededError, ExpolyError, ParseError,
-                     PartialityError, PreconditionError, VariableCountError)
-from .textio import parse_epoly, parse_ideal_file, print_epoly
+from .errors import (BudgetExceededError, ExpolyError, InternalError,
+                     ParseError, PartialityError, PreconditionError,
+                     VariableCountError)
+from .textio import parse_epoly, parse_ideal_file
 from .ediff import (DerivationSpec, apply_derivation, derivation_defect,
                     jacobian, partial_derivative)
 from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
@@ -33,15 +34,15 @@ __all__ = [
     "BaseField", "BudgetExceededError", "CertificateResult", "DaggerReport",
     "DerivationSpec", "EPoly", "ExpolyError", "FloatPoint",
     "GAUSSIAN_RATIONALS", "GaussianRational", "IMAG_UNIT", "IdealHandle",
-    "LaurentPresentation", "LayerDecomposition", "MembershipResult",
-    "OrdinalCNF", "ParseError", "PartialityError", "PipelineReport",
-    "PowerResult", "PreconditionError", "RATIONALS", "Rational", "SPoly",
-    "SaturationOutcome", "SeriesPoint", "TowerIdeal", "TrackedDecomposition",
-    "TruncatedSeries", "VariableCountError", "adjoin_y", "apply_derivation",
-    "augmentation", "augmentation_mod", "dagger_check", "derivation_defect",
-    "eval_epoly", "extract_power", "gaussian", "jacobian", "khovanskii_check",
-    "nullstellensatz_pipeline", "one_certificate", "ord_reduce",
-    "parse_epoly", "parse_ideal_file", "partial_derivative", "present",
-    "print_epoly", "real_kernel_check", "rewrite", "rewrite_expand",
-    "saturate_level_one", "series_exp", "split_tilde",
+    "InternalError", "LaurentPresentation", "LayerDecomposition",
+    "MembershipResult", "OrdinalCNF", "ParseError", "PartialityError",
+    "PipelineReport", "PowerResult", "PreconditionError", "RATIONALS",
+    "Rational", "SPoly", "SaturationOutcome", "SeriesPoint", "TowerIdeal",
+    "TrackedDecomposition", "TruncatedSeries", "VariableCountError",
+    "adjoin_y", "apply_derivation", "augmentation", "augmentation_mod",
+    "dagger_check", "derivation_defect", "eval_epoly", "extract_power",
+    "gaussian", "jacobian", "khovanskii_check", "nullstellensatz_pipeline",
+    "one_certificate", "ord_reduce", "parse_epoly", "parse_ideal_file",
+    "partial_derivative", "present", "real_kernel_check", "rewrite",
+    "rewrite_expand", "saturate_level_one", "series_exp", "split_tilde",
 ]

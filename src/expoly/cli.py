@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (partiality, precondition violation),
-2 step budget exceeded, 3 I/O or syntax error.  `--json` switches every
+2 step budget exceeded, 3 I/O or syntax error, 4 internal error (a failed
+consistency check such as a certificate that does not re-expand).  `--json` switches every
 subcommand to machine-readable output.
 """
 
@@ -15,8 +16,9 @@ from fractions import Fraction
 
 from .ediff import DerivationSpec, apply_derivation, jacobian, partial_derivative
 from .epoly import EPoly, ord_reduce
-from .errors import (BudgetExceededError, ExpolyError, ParseError,
-                     PartialityError, PreconditionError, VariableCountError)
+from .errors import (BudgetExceededError, ExpolyError, InternalError,
+                     ParseError, PartialityError, PreconditionError,
+                     VariableCountError)
 from .ideals import IdealHandle, augmentation, augmentation_mod
 from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
@@ -510,6 +512,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InternalError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
     except (PartialityError, PreconditionError, VariableCountError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -12,24 +12,6 @@ from .epoly import EPoly
 from .errors import VariableCountError
 
 
-def partial_derivative(p: EPoly, j: int) -> EPoly:
-    """d/dX_{j+1} with the chain rule on exponents: d(t^a) = (da) * t^a."""
-    if not 0 <= j < p.nvars:
-        raise VariableCountError(
-            f"variable index {j} out of range for {p.nvars} variables")
-    out = EPoly.zero(p.nvars)
-    for (mono, exponent), coeff in p.terms:
-        if mono[j] > 0:
-            lowered = tuple(e - 1 if k == j else e
-                            for k, e in enumerate(mono))
-            out = out + EPoly(p.nvars,
-                              {(lowered, exponent): coeff * mono[j]})
-        if exponent is not None:
-            carrier = EPoly(p.nvars, {(mono, exponent): coeff})
-            out = out + carrier * partial_derivative(exponent, j)
-    return out
-
-
 class DerivationSpec:
     """A derivation given by its values D(X_j) on the variables."""
 
@@ -59,7 +41,7 @@ def apply_derivation(spec: DerivationSpec, p: EPoly) -> EPoly:
     out = EPoly.zero(p.nvars)
     for (mono, exponent), coeff in p.terms:
         for j, e in enumerate(mono):
-            if e == 0:
+            if e == 0 or not spec.var_actions[j]:
                 continue
             lowered = tuple(x - 1 if k == j else x for k, x in enumerate(mono))
             out = out + (EPoly(p.nvars, {(lowered, exponent): coeff * e})
@@ -68,6 +50,16 @@ def apply_derivation(spec: DerivationSpec, p: EPoly) -> EPoly:
             carrier = EPoly(p.nvars, {(mono, exponent): coeff})
             out = out + carrier * apply_derivation(spec, exponent)
     return out
+
+
+def partial_derivative(p: EPoly, j: int) -> EPoly:
+    """d/dX_{j+1}: the derivation with D(X_{j+1}) = 1 and D(X_k) = 0 else."""
+    if not 0 <= j < p.nvars:
+        raise VariableCountError(
+            f"variable index {j} out of range for {p.nvars} variables")
+    unit = DerivationSpec([EPoly.const(p.nvars, 1 if k == j else 0)
+                           for k in range(p.nvars)])
+    return apply_derivation(unit, p)
 
 
 def derivation_defect(spec: DerivationSpec, p: EPoly) -> EPoly:

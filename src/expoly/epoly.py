@@ -25,6 +25,7 @@ from .errors import PartialityError, PreconditionError, VariableCountError
 from .ordinals import OrdinalCNF
 from .scalars import (GaussianRational, as_scalar, format_scalar,
                       scalar_sort_key)
+from .sparse import accumulate
 
 Mono = tuple
 
@@ -80,18 +81,12 @@ class EPoly:
     __slots__ = ("nvars", "_terms", "_hash", "_height")
 
     def __init__(self, nvars: int, terms):
-        """Build a canonical value from a {(mono, exponent): coeff} mapping."""
-        merged = {}
-        for (mono, exponent), coeff in (terms.items()
-                                        if isinstance(terms, dict) else terms):
-            coeff = as_scalar(coeff)
-            key = (tuple(mono), exponent)
-            acc = merged.get(key)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = coeff
+        """Build a canonical value from a {(mono, exponent): coeff} mapping
+        or from ((mono, exponent), coeff) pairs; repeated keys add up."""
+        if isinstance(terms, dict):
+            terms = terms.items()
+        merged = accumulate(((tuple(mono), exponent), as_scalar(coeff))
+                            for (mono, exponent), coeff in terms)
         self.nvars = nvars
         self._terms = tuple(sorted(merged.items(),
                                    key=lambda kv: _TERM_SORT_KEY(kv[0])))
@@ -106,9 +101,6 @@ class EPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "EPoly":
-        c = as_scalar(c)
-        if c == 0:
-            return cls.zero(nvars)
         return cls(nvars, {((0,) * nvars, None): c})
 
     @classmethod
@@ -166,14 +158,7 @@ class EPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms:
-            s = acc.get(key, 0) + c
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-        return EPoly(self.nvars, acc)
+        return EPoly(self.nvars, self._terms + other._terms)
 
     __radd__ = __add__
 
@@ -194,25 +179,15 @@ class EPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = as_scalar(other)
-            if c == 0:
-                return EPoly.zero(self.nvars)
-            return EPoly(self.nvars, {k: v * c for k, v in self._terms})
+            return EPoly(self.nvars, {k: v * other for k, v in self._terms})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = {}
-        for (ma, ea), ca in self._terms:
-            for (mb, eb), cb in other._terms:
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                exponent = _exp_add(ea, eb)
-                key = (mono, exponent)
-                s = acc.get(key, 0) + ca * cb
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return EPoly(self.nvars, acc)
+        return EPoly(self.nvars,
+                     (((tuple(x + y for x, y in zip(ma, mb)),
+                        _exp_add(ea, eb)), ca * cb)
+                      for (ma, ea), ca in self._terms
+                      for (mb, eb), cb in other._terms))
 
     __rmul__ = __mul__
 
@@ -251,8 +226,7 @@ class EPoly:
                      {k: c for k, c in self._terms if term_layer(k) == i})
 
     def layer_decompose(self) -> "LayerDecomposition":
-        parts = [EPoly.zero(self.nvars) for _ in range(self.height() + 1)]
-        acc = [{} for _ in parts]
+        acc = [{} for _ in range(self.height() + 1)]
         for k, c in self._terms:
             acc[term_layer(k)][k] = c
         return LayerDecomposition(tuple(EPoly(self.nvars, a) for a in acc))

@@ -21,6 +21,14 @@ class BudgetExceededError(ExpolyError):
     """A reduction-step budget ran out before the computation finished."""
 
 
+class InternalError(ExpolyError):
+    """An internal consistency check failed: an engine bug, never bad input.
+
+    Raised explicitly (not by `assert`), so the checks still run under
+    `python -O`.
+    """
+
+
 class ParseError(ExpolyError):
     """Syntax error in the textual term language."""
 

@@ -15,12 +15,14 @@ outside trigger a joint re-presentation with a refined primitive basis.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple
 
 from .epoly import EPoly, cmp_term_key
-from .errors import Budget, PreconditionError, VariableCountError
+from .errors import (Budget, InternalError, PreconditionError,
+                     VariableCountError)
 from .linalg import (RationalEchelon, lattice_basis, solve_upper_integer,
                      vec_add)
 from .polyring import MonomialOrder, Poly, PolyRing, buchberger
@@ -138,7 +140,7 @@ class LaurentPresentation:
             raise VariableCountError(
                 f"presentation over {self.nvars} variables, value has "
                 f"{p.nvars}")
-        acc = {}
+        pairs = []
         for (mono, exponent), coeff in p.terms:
             coords = self.exponent_coordinates(exponent)
             if coords is None:
@@ -151,13 +153,8 @@ class LaurentPresentation:
                     full[ui] = k
                 elif k < 0:
                     full[vi] = -k
-            key = tuple(full)
-            s = acc.get(key, 0) + coeff
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-        return Poly(self.ring, acc)
+            pairs.append((tuple(full), coeff))
+        return Poly(self.ring, pairs)
 
     def covers(self, p: EPoly) -> bool:
         return self.encode(p) is not None
@@ -172,7 +169,7 @@ class LaurentPresentation:
 
     def decode(self, q: Poly) -> EPoly:
         """Ring homomorphism back: u_i -> E(b_i), v_i -> E(-b_i)."""
-        acc = {}
+        pairs = []
         for mono, coeff in q.terms.items():
             exponent = None
             for i, direction in enumerate(self.directions):
@@ -188,13 +185,8 @@ class LaurentPresentation:
                         f"{self.extra_names[k]}")
             if exponent is not None and exponent.is_zero():
                 exponent = None
-            key = (mono[:self.nvars], exponent)
-            s = acc.get(key, 0) + coeff
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-        return EPoly(self.nvars, acc)
+            pairs.append(((mono[:self.nvars], exponent), coeff))
+        return EPoly(self.nvars, pairs)
 
     def describe(self) -> str:
         if not self.directions:
@@ -242,11 +234,12 @@ def present(ps, nvars: int | None = None, extra_names=()) -> LaurentPresentation
         denom = 1
         for component in components:
             residual, coeffs = echelon.row_coords(_epoly_coords(component))
-            assert not residual
+            if residual:
+                raise InternalError(
+                    "internal error: a presented exponent component lies "
+                    "outside the span of its own layer")
             row = [coeffs[j] for j in range(echelon.dim)]
-            for value in row:
-                denom = denom * value.denominator // _gcd(
-                    denom, value.denominator)
+            denom = math.lcm(denom, *(value.denominator for value in row))
             coord_rows.append(row)
         int_rows = [[int(value * denom) for value in row]
                     for row in coord_rows]
@@ -262,12 +255,6 @@ def present(ps, nvars: int | None = None, extra_names=()) -> LaurentPresentation
                 LatticeDirection(_coords_epoly(coords, nvars), layer + 1))
         layers[layer] = _LayerLattice(echelon, denom, hermite, offset)
     return LaurentPresentation(nvars, directions, layers, extra_names)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class MembershipResult(NamedTuple):
@@ -316,23 +303,22 @@ class IdealHandle:
             self._gb = None
         return self._pres
 
-    def groebner(self, order: MonomialOrder | None = None):
-        """Reduced Groebner basis of the presented ideal.
-
-        The default order is graded reverse-lexicographic over all
-        presentation variables; pass a MonomialOrder for anything else
-        (uncached)."""
+    def groebner(self):
+        """Reduced Groebner basis of the presented ideal, graded
+        reverse-lexicographic over all presentation variables (cached until
+        the presentation is refined)."""
         pres = self.presentation()
-        if order is not None and order != pres.ring.order:
-            ring = pres.ring.with_order(order)
-            encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
-            relations = [Poly(ring, rel.terms) for rel in pres.relations()]
-            return buchberger(encoded + relations, ring, self._budget())
         if self._gb is None:
-            encoded = [pres.encode(g) for g in self.gens]
-            self._gb = buchberger(encoded + pres.relations(), pres.ring,
-                                  self._budget())
+            self._gb = self._basis(pres, pres.ring)
         return self._gb
+
+    def _basis(self, pres: LaurentPresentation, ring: PolyRing):
+        """Reduced Groebner basis of the generators plus the unit relations
+        of the presentation, computed in `ring` (the presentation's
+        variables under some monomial order)."""
+        encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
+        relations = [Poly(ring, rel.terms) for rel in pres.relations()]
+        return buchberger(encoded + relations, ring, self._budget())
 
     def membership(self, p: EPoly) -> MembershipResult:
         if p.nvars != self.nvars:
@@ -347,8 +333,7 @@ class IdealHandle:
         for c, g in zip(cofactors, self.gens):
             check = check + c * g
         if check != p:
-            raise AssertionError(
-                "internal error: cofactor expansion mismatch")
+            raise InternalError("internal error: cofactor expansion mismatch")
         return MembershipResult(True, cofactors)
 
     def intersect_subring(self, level: int) -> "IdealHandle":
@@ -365,11 +350,8 @@ class IdealHandle:
         if not eliminated:
             return IdealHandle(self.gens, nvars=self.nvars,
                                budget_limit=self.budget_limit)
-        ring = pres.ring.with_order(
-            MonomialOrder(pres.ring.nvars, block=tuple(eliminated)))
-        encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
-        relations = [Poly(ring, rel.terms) for rel in pres.relations()]
-        gb = buchberger(encoded + relations, ring, self._budget())
+        gb = self._basis(pres, pres.ring.with_order(
+            MonomialOrder(pres.ring.nvars, block=tuple(eliminated))))
         kept = [e for e in gb.elements if not e.uses_vars(eliminated)]
         gens = tuple(pres.decode(Poly(pres.ring, e.terms)) for e in kept)
         gens = tuple(g for g in gens if not g.is_zero())
@@ -378,12 +360,6 @@ class IdealHandle:
 
     def is_proper(self) -> bool:
         return not self.membership(EPoly.const(self.nvars, 1)).member
-
-    def contains_ideal(self, other: "IdealHandle") -> bool:
-        return all(self.membership(g).member for g in other.gens)
-
-    def equivalent(self, other: "IdealHandle") -> bool:
-        return self.contains_ideal(other) and other.contains_ideal(self)
 
     def __repr__(self):
         return f"IdealHandle([{', '.join(str(g) for g in self.gens)}])"
@@ -402,19 +378,14 @@ def augmentation(u: EPoly, layer: int) -> EPoly:
         raise PreconditionError(
             f"augmentation at layer {layer} needs input in R_{layer}, "
             f"got height {u.height()}")
-    acc = {}
+    pairs = []
     for (mono, exponent), coeff in u.terms:
         if exponent is not None:
             component = exponent.layer_component(layer - 1)
             if component:
                 exponent = _nonzero_or_none(exponent - component)
-        key = (mono, exponent)
-        s = acc.get(key, 0) + coeff
-        if s == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-    return EPoly(u.nvars, acc)
+        pairs.append(((mono, exponent), coeff))
+    return EPoly(u.nvars, pairs)
 
 
 def _nonzero_or_none(p: EPoly):

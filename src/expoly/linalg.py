@@ -1,23 +1,21 @@
 """Exact linear algebra over Q and Z used by the exponent-lattice code.
 
 Vectors are dicts {coordinate: Fraction} over an arbitrary hashable
-coordinate set; matrices for the integer routines are lists of lists.
+coordinate set, holding nonzero entries only: `vec_add` folds through
+`sparse.accumulate`, which drops every entry that cancels.  Matrices for the
+integer routines are lists of lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .sparse import accumulate
+
 
 def vec_add(a: dict, b: dict, scale=Fraction(1)) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v * scale
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    """a + scale * b as a new vector."""
+    return accumulate(((k, v * scale) for k, v in b.items()), into=dict(a))
 
 
 def vec_scale(a: dict, scale) -> dict:
@@ -55,12 +53,7 @@ class RationalEchelon:
             c = vec.get(pivot)
             if c:
                 vec = vec_add(vec, row, -c)
-                for k, v in self.expr[i].items():
-                    s = coeffs.get(k, Fraction(0)) + v * c
-                    if s == 0:
-                        coeffs.pop(k, None)
-                    else:
-                        coeffs[k] = s
+                coeffs = vec_add(coeffs, self.expr[i], c)
         return vec, coeffs
 
     def row_coords(self, vec: dict):
@@ -85,13 +78,7 @@ class RationalEchelon:
         row = vec_scale(residual, inv)
         # residual = vec - sum coeffs_i * inserted_i, so the normalized row
         # is inv*vec - sum inv*coeffs_i * inserted_i.
-        expr = {self.count: inv}
-        for k, v in coeffs.items():
-            s = expr.get(k, Fraction(0)) - v * inv
-            if s == 0:
-                expr.pop(k, None)
-            else:
-                expr[k] = s
+        expr = vec_add({self.count: inv}, coeffs, -inv)
         self.rows.append(row)
         self.pivots.append(pivot)
         self.expr.append(expr)

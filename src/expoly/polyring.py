@@ -11,6 +11,10 @@ its representation over the input generators, and division tracks quotients,
 so any normal form can be expanded back into an exact combination of the
 inputs.  Reduced bases are unique for a fixed monomial order, which the
 determinism tests rely on.
+
+Term dicts map monomials to nonzero coefficients.  Every sum, product and
+division step folds its (monomial, coefficient) pairs through
+`sparse.accumulate`, so equal monomials add up and cancelled terms vanish.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Budget
+from .sparse import accumulate
 
 
 class MonomialOrder:
@@ -85,8 +90,6 @@ class PolyRing:
         return Poly(self, {})
 
     def const(self, c) -> "Poly":
-        if c == 0:
-            return self.zero()
         return Poly(self, {(0,) * self.nvars: c})
 
     def var(self, i: int) -> "Poly":
@@ -103,9 +106,11 @@ class PolyRing:
 class Poly:
     __slots__ = ("ring", "terms", "_lead")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, terms):
+        """Terms are a {mono: coeff} mapping or (mono, coeff) pairs;
+        repeated monomials add up."""
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = accumulate(terms)
         self._lead = None
 
     def is_zero(self) -> bool:
@@ -122,14 +127,7 @@ class Poly:
         return self._lead
 
     def __add__(self, other):
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, 0) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return Poly(self.ring, acc)
+        return Poly(self.ring, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return Poly(self.ring, {m: -c for m, c in self.terms.items()})
@@ -141,22 +139,13 @@ class Poly:
         if not isinstance(other, Poly):
             return Poly(self.ring,
                         {m: c * other for m, c in self.terms.items()})
-        acc = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                s = acc.get(m, 0) + ca * cb
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return Poly(self.ring, acc)
+        return Poly(self.ring, ((mono_mul(ma, mb), ca * cb)
+                                for ma, ca in self.terms.items()
+                                for mb, cb in other.terms.items()))
 
     __rmul__ = __mul__
 
     def mul_term(self, mono, coeff) -> "Poly":
-        if coeff == 0:
-            return self.ring.zero()
         return Poly(self.ring, {mono_mul(m, mono): c * coeff
                                 for m, c in self.terms.items()})
 
@@ -208,8 +197,6 @@ def reduce_full(p: Poly, reducers, budget: Budget):
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        if c == 0:
-            continue
         for i, red in enumerate(reducers):
             lm, lc = leads[i]
             if mono_divides(lm, m):
@@ -217,15 +204,9 @@ def reduce_full(p: Poly, reducers, budget: Budget):
                 qm = mono_div(m, lm)
                 qc = c / lc
                 quotients[i] = quotients[i] + Poly(ring, {qm: qc})
-                for rm, rc in red.terms.items():
-                    if rm == lm:
-                        continue
-                    tm = mono_mul(rm, qm)
-                    s = work.get(tm, 0) - rc * qc
-                    if s == 0:
-                        work.pop(tm, None)
-                    else:
-                        work[tm] = s
+                accumulate(((mono_mul(rm, qm), -rc * qc)
+                            for rm, rc in red.terms.items() if rm != lm),
+                           into=work)
                 break
         else:
             remainder[m] = c
@@ -295,10 +276,6 @@ class GroebnerBasis:
                 if not r.is_zero():
                     total[i] = total[i] + q * r
         return total
-
-    def contains(self, p: Poly) -> bool:
-        _, remainder = self.normal_form(p)
-        return remainder.is_zero()
 
 
 def buchberger(gens, ring: PolyRing, budget: Budget | None = None

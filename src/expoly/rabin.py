@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .epoly import EPoly
-from .errors import Budget, VariableCountError
+from .errors import Budget, InternalError, VariableCountError
 from .ideals import IdealHandle, present
 from .polyring import Poly, buchberger
+from .sparse import accumulate
 from .tower import DaggerReport, dagger_check
 
 
@@ -26,13 +27,11 @@ class SPoly:
 
     __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, nvars: int, coeffs=None):
+    def __init__(self, nvars: int, coeffs=()):
+        """Coefficients are a {degree: EPoly} mapping or (degree, EPoly)
+        pairs; repeated degrees add up."""
         self.nvars = nvars
-        cleaned = {}
-        for deg, c in (coeffs or {}).items():
-            if not c.is_zero():
-                cleaned[deg] = c
-        self.coeffs = cleaned
+        self.coeffs = accumulate(coeffs)
 
     @classmethod
     def from_epoly(cls, p: EPoly) -> "SPoly":
@@ -62,14 +61,8 @@ class SPoly:
 
     def __add__(self, other):
         other = self._check(other)
-        acc = dict(self.coeffs)
-        for deg, c in other.coeffs.items():
-            s = acc.get(deg, EPoly.zero(self.nvars)) + c
-            if s.is_zero():
-                acc.pop(deg, None)
-            else:
-                acc[deg] = s
-        return SPoly(self.nvars, acc)
+        return SPoly(self.nvars,
+                     [*self.coeffs.items(), *other.coeffs.items()])
 
     def __neg__(self):
         return SPoly(self.nvars, {d: -c for d, c in self.coeffs.items()})
@@ -79,16 +72,9 @@ class SPoly:
 
     def __mul__(self, other):
         other = self._check(other)
-        acc = {}
-        for da, ca in self.coeffs.items():
-            for db, cb in other.coeffs.items():
-                d = da + db
-                s = acc.get(d, EPoly.zero(self.nvars)) + ca * cb
-                if s.is_zero():
-                    acc.pop(d, None)
-                else:
-                    acc[d] = s
-        return SPoly(self.nvars, acc)
+        return SPoly(self.nvars, ((da + db, ca * cb)
+                                  for da, ca in self.coeffs.items()
+                                  for db, cb in other.coeffs.items()))
 
     def __eq__(self, other):
         if isinstance(other, (EPoly, SPoly)):
@@ -162,27 +148,19 @@ def one_certificate(hs, g: EPoly, budget_limit: int | None = 1_000_000
              - SPoly.y(nvars) * adjoin_y(g))
     total = total + r * check
     if total != SPoly.from_epoly(EPoly.const(nvars, 1)):
-        raise AssertionError("internal error: certificate fails to expand")
+        raise InternalError("internal error: certificate fails to expand")
     return CertificateResult(found=True, t=t, r=r, lattice=pres.describe())
 
 
 def _decode_with_y(q: Poly, pres) -> SPoly:
     """Split a presented polynomial by Y-degree and decode each slice."""
     yindex = pres.extra_index(0)
-    slices: dict[int, dict] = {}
+    slices: dict[int, list] = {}
     for mono, coeff in q.terms.items():
-        deg = mono[yindex]
         stripped = tuple(0 if i == yindex else e for i, e in enumerate(mono))
-        bucket = slices.setdefault(deg, {})
-        s = bucket.get(stripped, 0) + coeff
-        if s == 0:
-            bucket.pop(stripped, None)
-        else:
-            bucket[stripped] = s
-    out = {}
-    for deg, terms in slices.items():
-        out[deg] = pres.decode(Poly(pres.ring, terms))
-    return SPoly(pres.nvars, out)
+        slices.setdefault(mono[yindex], []).append((stripped, coeff))
+    return SPoly(pres.nvars, {deg: pres.decode(Poly(pres.ring, pairs))
+                              for deg, pairs in slices.items()})
 
 
 @dataclass

@@ -190,25 +190,6 @@ class BaseField:
             raise ValueError(f"unknown base field tag {tag!r}")
         self.tag = tag
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return as_scalar(a) + as_scalar(b)
-
-    @staticmethod
-    def mul(a, b):
-        return as_scalar(a) * as_scalar(b)
-
-    @staticmethod
-    def neg(a):
-        return -as_scalar(a)
-
-    @staticmethod
-    def inv(a):
-        return scalar_inv(as_scalar(a))
-
     def exp(self, a):
         """The partial exponential on A(R) = {0}: defined only at zero."""
         if as_scalar(a) != 0:
@@ -216,7 +197,7 @@ class BaseField:
                 f"E undefined on base-field element {format_scalar(a)}: "
                 "exponential domain is {0}"
             )
-        return self.one
+        return Fraction(1)
 
     def contains(self, c) -> bool:
         if self.tag == "Q":

@@ -200,10 +200,6 @@ def parse_epoly(text: str, nvars: int | None = None) -> EPoly:
     return value
 
 
-def print_epoly(p: EPoly) -> str:
-    return str(p)
-
-
 def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
     """One exponential polynomial per line; blanks and '#' comments skipped."""
     with open(path, "r", encoding="utf-8") as handle:

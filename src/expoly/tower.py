@@ -13,12 +13,13 @@ can certify.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .epoly import EPoly, EPOLY_SORT_KEY
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .ideals import (IdealHandle, augmentation_mod, _coords_epoly,
                      _epoly_coords, _COORD_KEY)
 from .linalg import RationalEchelon
@@ -122,7 +123,7 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
         raise PreconditionError(
             f"rewrite at layer {n} needs input in R_{n + 1}, got height "
             f"{u.height()}")
-    groups: dict = {}
+    groups: dict = {}  # layer-n exponent component or None -> term pairs
     for (mono, exponent), coeff in u.terms:
         if exponent is None:
             key = None
@@ -137,13 +138,7 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
                 rest = exponent - component
                 if rest.is_zero():
                     rest = None
-        bucket = groups.setdefault(key, {})
-        tkey = (mono, rest)
-        s = bucket.get(tkey, 0) + coeff
-        if s == 0:
-            bucket.pop(tkey, None)
-        else:
-            bucket[tkey] = s
+        groups.setdefault(key, []).append(((mono, rest), coeff))
 
     out = []
     zero = EPoly.zero(u.nvars)
@@ -161,7 +156,9 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
         if not carrier.is_zero():
             out.insert(0, RewriteTerm(carrier, zero, zero))
     arguments = [t.argument for t in out]
-    assert len(set(arguments)) == len(arguments)
+    if len(set(arguments)) != len(arguments):
+        raise InternalError("internal error: rewrite produced repeated "
+                            "exponential arguments")
     return out
 
 
@@ -454,10 +451,7 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
         dense = [[rows[i].get(j, Fraction(0)) for j in range(ncols)]
                  for i in range(len(directions))]
         for j in range(ncols):
-            denom = 1
-            for i in range(len(dense)):
-                d = dense[i][j].denominator
-                denom = denom * d // _gcd_int(denom, d)
+            denom = math.lcm(*(row[j].denominator for row in dense))
             for i in range(len(dense)):
                 dense[i][j] = int(dense[i][j] * denom)
         kernel = integer_kernel(dense)
@@ -469,15 +463,12 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
                 element = element + b * xi
         if element.is_zero():
             continue
-        assert cut.membership(element).member
+        if not cut.membership(element).member:
+            raise InternalError(
+                f"internal error: kernel direction {element} is not in the "
+                "cut ideal")
         out.append(element)
     return out
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass

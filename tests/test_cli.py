@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +161,54 @@ def test_demo_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "failure certificate" in out1 or "unit" in out1
+
+
+FORCED_MISMATCH = r"""
+import sys
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+
+from expoly import EPoly, IdealHandle, InternalError, one_certificate
+from expoly.cli import main
+from expoly.polyring import GroebnerBasis
+
+exact = GroebnerBasis.cofactors
+
+
+def skewed(self, p):
+    cofactors = exact(self, p)
+    if cofactors is not None:
+        cofactors[0] = cofactors[0] + self.ring.const(1)
+    return cofactors
+
+
+GroebnerBasis.cofactors = skewed
+x = EPoly.var(1, 0)
+for check in (lambda: IdealHandle([x]).membership(x * x),
+              lambda: one_certificate([x], x)):
+    try:
+        check()
+    except InternalError:
+        print("InternalError")
+    else:
+        print("accepted")
+print(main(["member", "--ideal", sys.argv[1], "X1^2"]))
+print(main(["rabinowitsch", "--ideal", sys.argv[1], "--g", "X1"]))
+"""
+
+
+def test_exit_code_internal_error_under_optimize(ideal_file):
+    """A cofactor that fails to re-expand raises InternalError and exits 4,
+    also with assertions compiled out."""
+    path = ideal_file("I.txt", "X1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", FORCED_MISMATCH, path],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InternalError", "InternalError", "4", "4"]
+    assert proc.stderr.count("internal error") == 2
