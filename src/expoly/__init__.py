@@ -7,7 +7,7 @@ of ideals into exponential ideals, and the Rabinowitsch certificate
 pipeline.
 """
 
-from .epoly import EPoly, LayerDecomposition, ord_reduce
+from .epoly import EPoly, ord_reduce
 from .ordinals import OrdinalCNF
 from .scalars import (BaseField, GAUSSIAN_RATIONALS, GaussianRational,
                       IMAG_UNIT, RATIONALS, Rational, gaussian)
@@ -34,7 +34,7 @@ __all__ = [
     "BaseField", "BudgetExceededError", "CertificateResult", "DaggerReport",
     "DerivationSpec", "EPoly", "ExpolyError", "FloatPoint",
     "GAUSSIAN_RATIONALS", "GaussianRational", "IMAG_UNIT", "IdealHandle",
-    "InternalError", "LaurentPresentation", "LayerDecomposition",
+    "InternalError", "LaurentPresentation",
     "MembershipResult", "OrdinalCNF", "ParseError", "PartialityError",
     "PipelineReport", "PowerResult", "PreconditionError", "RATIONALS",
     "Rational", "SPoly", "SaturationOutcome", "SeriesPoint", "TowerIdeal",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -24,12 +25,11 @@ from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .rabin import nullstellensatz_pipeline
 from .scalars import parse_scalar
-from .textio import parse_epoly, parse_ideal_file
+from .textio import max_var_index, parse_epoly, parse_ideal_file
 from .tower import TowerIdeal, dagger_check, saturate_level_one
 
 
 def _parse_exprs(texts, nvars):
-    from .textio import max_var_index
     if nvars is None:
         nvars = max((max_var_index(t) for t in texts), default=1)
         nvars = max(nvars, 1)
@@ -52,7 +52,7 @@ def _point(args, nvars):
             raise VariableCountError(
                 f"point has {len(series)} coordinates, need {nvars}")
         return SeriesPoint(series, order=args.order)
-    values = [complex(float(Fraction(g.strip()))) for g in groups]
+    values = [FloatPoint.lift(parse_scalar(g)) for g in groups]
     if len(values) != nvars:
         raise VariableCountError(
             f"point has {len(values)} coordinates, need {nvars}")
@@ -341,7 +341,6 @@ def cmd_demo(args, out):
     out("is proper, yet no common zero exists over the complex exponential.")
     gi = IdealHandle([parse_epoly("E(X1) - 2"), parse_epoly("E(i*X1) - 1")])
     out(f"1 member of <f, g>: {gi.membership(EPoly.const(1, 1)).member}")
-    import math
     for val in (math.log(2), 2 * math.pi):
         fp = FloatPoint([complex(val)])
         fval = eval_epoly(parse_epoly("E(X1) - 2"), fp)

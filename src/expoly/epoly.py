@@ -10,6 +10,14 @@ None for the trivial exponent t^0 = 1).  Multiplication merges exponents by
 the group law t^a * t^b = t^(a+b), so values are always canonical: no zero
 coefficients, no duplicate (mono, exponent) keys, and a fixed term order.
 
+That order is a plain tuple key.  A term (mono, exponent) sorts by
+
+    (layer, sum(mono), mono, exponent.sort_key)    with () for t^0
+
+and a value by `EPoly.sort_key`: its (term key, scalar key) pairs from the
+leading term down, compared element by element and then by length.  Terms
+are stored in ascending order, leading term last.
+
 The layer of a term is 0 when its exponent is trivial and 1 + height of the
 exponent otherwise; the height of a value is the maximal layer of its terms.
 These drive the decomposition into per-layer components and the ordinal
@@ -19,19 +27,14 @@ complexity measure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import PartialityError, PreconditionError, VariableCountError
 from .ordinals import OrdinalCNF
 from .scalars import (GaussianRational, as_scalar, format_scalar,
-                      scalar_sort_key)
+                      parse_scalar, scalar_sort_key)
 from .sparse import accumulate
 
 Mono = tuple
-
-
-def _cmp(a, b):
-    return (a > b) - (a < b)
 
 
 def term_layer(key) -> int:
@@ -39,46 +42,16 @@ def term_layer(key) -> int:
     return 0 if exponent is None else 1 + exponent.height()
 
 
-def cmp_term_key(ka, kb) -> int:
-    """Canonical total order on term keys.
-
-    Compares by layer, then graded-lexicographically on the monomial, then
-    recursively on the exponent-argument.
-    """
-    la, lb = term_layer(ka), term_layer(kb)
-    if la != lb:
-        return _cmp(la, lb)
-    ma, mb = ka[0], kb[0]
-    c = _cmp(sum(ma), sum(mb))
-    if c:
-        return c
-    c = _cmp(ma, mb)
-    if c:
-        return c
-    ea, eb = ka[1], kb[1]
-    if ea is None and eb is None:
-        return 0
-    return cmp_epoly(ea, eb)
-
-
-def cmp_epoly(p: "EPoly", q: "EPoly") -> int:
-    """Deterministic total order on values, leading terms first."""
-    for (ka, ca), (kb, cb) in zip(reversed(p._terms), reversed(q._terms)):
-        c = cmp_term_key(ka, kb)
-        if c:
-            return c
-        c = _cmp(scalar_sort_key(ca), scalar_sort_key(cb))
-        if c:
-            return c
-    return _cmp(len(p._terms), len(q._terms))
-
-
-_TERM_SORT_KEY = cmp_to_key(cmp_term_key)
-EPOLY_SORT_KEY = cmp_to_key(cmp_epoly)
+def _term_key(key) -> tuple:
+    """Sort key of a term key, as stated in the module docstring."""
+    mono, exponent = key
+    if exponent is None:
+        return (0, sum(mono), mono, ())
+    return (1 + exponent.height(), sum(mono), mono, exponent.sort_key)
 
 
 class EPoly:
-    __slots__ = ("nvars", "_terms", "_hash", "_height")
+    __slots__ = ("nvars", "_terms", "_hash", "_height", "_key")
 
     def __init__(self, nvars: int, terms):
         """Build a canonical value from a {(mono, exponent): coeff} mapping
@@ -89,9 +62,10 @@ class EPoly:
                             for (mono, exponent), coeff in terms)
         self.nvars = nvars
         self._terms = tuple(sorted(merged.items(),
-                                   key=lambda kv: _TERM_SORT_KEY(kv[0])))
+                                   key=lambda kv: _term_key(kv[0])))
         self._hash = None
         self._height = None
+        self._key = None
 
     # -- constructors -------------------------------------------------
 
@@ -141,6 +115,14 @@ class EPoly:
         if self._hash is None:
             self._hash = hash((self.nvars, self._terms))
         return self._hash
+
+    @property
+    def sort_key(self) -> tuple:
+        """Cached sort key of the value, as stated in the module docstring."""
+        if self._key is None:
+            self._key = tuple((_term_key(k), scalar_sort_key(c))
+                              for k, c in reversed(self._terms))
+        return self._key
 
     # -- ring operations ----------------------------------------------
 
@@ -225,11 +207,13 @@ class EPoly:
         return EPoly(self.nvars,
                      {k: c for k, c in self._terms if term_layer(k) == i})
 
-    def layer_decompose(self) -> "LayerDecomposition":
+    def layer_decompose(self) -> tuple["EPoly", ...]:
+        """Per-layer components: part 0 in R_0 and part i in A_i for i >= 1;
+        their sum is the value."""
         acc = [{} for _ in range(self.height() + 1)]
         for k, c in self._terms:
             acc[term_layer(k)][k] = c
-        return LayerDecomposition(tuple(EPoly(self.nvars, a) for a in acc))
+        return tuple(EPoly(self.nvars, a) for a in acc)
 
     def total_degree(self) -> int:
         return max((sum(k[0]) for k, _ in self._terms), default=0)
@@ -244,7 +228,7 @@ class EPoly:
         seen = {exponent.layer_component(h - 1)
                 for (mono, exponent), _ in self._terms
                 if term_layer((mono, exponent)) == h}
-        return sorted(seen, key=EPOLY_SORT_KEY)
+        return sorted(seen, key=lambda p: p.sort_key)
 
     def rank(self) -> int:
         if self.is_zero():
@@ -256,7 +240,7 @@ class EPoly:
     def complexity(self) -> OrdinalCNF:
         """The ordinal measure: sum over layers i of w^i * rank(component_i)."""
         out = OrdinalCNF()
-        for i, part in enumerate(self.layer_decompose().parts):
+        for i, part in enumerate(self.layer_decompose()):
             if part:
                 out = out + OrdinalCNF.omega_term(i, part.rank())
         return out
@@ -334,7 +318,6 @@ def _terms_to_json(p: EPoly) -> list:
 
 
 def _terms_from_json(items, nvars: int) -> EPoly:
-    from .scalars import parse_scalar
     acc = {}
     for item in items:
         mono = tuple(item["monomial"])
@@ -342,30 +325,6 @@ def _terms_from_json(items, nvars: int) -> EPoly:
                     else _terms_from_json(item["exponent"], nvars))
         acc[(mono, exponent)] = parse_scalar(item["coeff"])
     return EPoly(nvars, acc)
-
-
-class LayerDecomposition:
-    """Per-layer components: parts[0] in R_0 and parts[i] in A_i for i >= 1."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def component(self, i: int) -> EPoly:
-        return self.parts[i]
-
-    def recompose(self) -> EPoly:
-        out = self.parts[0]
-        for part in self.parts[1:]:
-            out = out + part
-        return out
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __repr__(self):
-        return f"LayerDecomposition({[str(p) for p in self.parts]})"
 
 
 def ord_reduce(p: EPoly) -> tuple[EPoly, EPoly]:
@@ -380,12 +339,12 @@ def ord_reduce(p: EPoly) -> tuple[EPoly, EPoly]:
     """
     if p.is_zero():
         raise PreconditionError("ord_reduce requires a nonzero argument")
-    decomposition = p.layer_decompose()
-    if decomposition.parts[0]:
+    parts = p.layer_decompose()
+    if parts[0]:
         raise PreconditionError(
             "ord_reduce requires a zero layer-0 component, got "
-            f"{decomposition.parts[0]}")
-    lowest = next(i for i, part in enumerate(decomposition.parts) if part)
-    direction = decomposition.parts[lowest].top_exponent_parts()[0]
+            f"{parts[0]}")
+    lowest = next(part for part in parts if part)
+    direction = lowest.top_exponent_parts()[0]
     q = -direction
     return q, q.exp() * p

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import NamedTuple
 
-from .epoly import EPoly, cmp_term_key
+from .epoly import EPoly, _term_key
 from .errors import (Budget, InternalError, PreconditionError,
                      VariableCountError)
 from .linalg import (RationalEchelon, lattice_basis, solve_upper_integer,
@@ -29,13 +28,9 @@ from .polyring import MonomialOrder, Poly, PolyRing, buchberger
 from .scalars import gaussian, scalar_im, scalar_re
 
 
-def _cmp_coord(a, b):
+def _coord_key(label):
     """Deterministic order on coordinate labels ((mono, exponent), part)."""
-    c = cmp_term_key(a[0], b[0])
-    return c if c else (a[1] > b[1]) - (a[1] < b[1])
-
-
-_COORD_KEY = cmp_to_key(_cmp_coord)
+    return (_term_key(label[0]), label[1])
 
 
 def _epoly_coords(p: EPoly) -> dict:
@@ -227,7 +222,7 @@ def present(ps, nvars: int | None = None, extra_names=()) -> LaurentPresentation
     layers = {}
     for layer in sorted(per_layer):
         components = per_layer[layer]
-        echelon = RationalEchelon(coord_order=_COORD_KEY)
+        echelon = RationalEchelon(coord_order=_coord_key)
         for component in components:
             echelon.insert(_epoly_coords(component))
         coord_rows = []

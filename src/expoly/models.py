@@ -7,11 +7,14 @@ Neumann exponential on the maximal ideal, and an inexact floating model
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
+from .ediff import jacobian
 from .epoly import EPoly
 from .errors import PartialityError, VariableCountError
-from .scalars import GaussianRational, as_scalar, scalar_im, scalar_re
+from .scalars import (GaussianRational, as_scalar, format_scalar, scalar_im,
+                      scalar_re)
 
 
 class TruncatedSeries:
@@ -106,7 +109,6 @@ class TruncatedSeries:
                                 for k, c in enumerate(self.coeffs)][1:])
 
     def __str__(self):
-        from .scalars import format_scalar
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -183,7 +185,6 @@ class FloatPoint:
         return complex(float(scalar_re(c)), float(scalar_im(c)))
 
     def exp(self, v, node: EPoly):
-        import cmath
         return cmath.exp(v)
 
     def is_zero(self, v) -> bool:
@@ -212,7 +213,6 @@ def eval_epoly(p: EPoly, point):
 
 def khovanskii_check(fs, point) -> bool:
     """Square system: all f_i vanish at the point and the Jacobian does not."""
-    from .ediff import jacobian
     fs = list(fs)
     for f in fs:
         if not point.is_zero(eval_epoly(f, point)):

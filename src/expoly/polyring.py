@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import Budget
+from .scalars import scalar_inv
 from .sparse import accumulate
 
 
@@ -326,7 +327,6 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
 
 
 def _interreduce(basis, ring, gens, budget: Budget) -> GroebnerBasis:
-    from .scalars import scalar_inv
     key = ring.order.key
     # Minimalize: drop any element whose leading monomial is divisible by
     # the leading monomial of an earlier (smaller) survivor.
@@ -336,19 +336,13 @@ def _interreduce(basis, ring, gens, budget: Budget) -> GroebnerBasis:
         lm = tp.poly.lead()[0]
         if not any(mono_divides(s.poly.lead()[0], lm) for s in kept):
             kept.append(tp)
-    # Reduce every element's tail against the others until stable.
-    changed = True
-    while changed:
-        changed = False
+    # Reduce every element's tail against the others.  No leading monomial
+    # divides another and reduction never changes one, so a single pass
+    # leaves every tail reduced and no element zero.
+    if len(kept) > 1:
         for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            if not others:
-                continue
-            reduced = _reduce_tracked(kept[i], others, budget)
-            if reduced.poly.terms != kept[i].poly.terms:
-                changed = True
-            kept[i] = reduced
-        kept = [tp for tp in kept if not tp.poly.is_zero()]
+            kept[i] = _reduce_tracked(kept[i], kept[:i] + kept[i + 1:],
+                                      budget)
     # Monic normalization and canonical element order.
     final = []
     for tp in kept:

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .epoly import EPoly, EPOLY_SORT_KEY
+from .epoly import EPoly
 from .errors import InternalError, PreconditionError
-from .ideals import (IdealHandle, augmentation_mod, _coords_epoly,
-                     _epoly_coords, _COORD_KEY)
-from .linalg import RationalEchelon
+from .ideals import (IdealHandle, augmentation_mod, _coord_key,
+                     _coords_epoly, _epoly_coords)
+from .linalg import RationalEchelon, integer_kernel
+from .scalars import scalar_im, scalar_re
 
 
 class TrackedSeed(NamedTuple):
@@ -49,7 +50,7 @@ class TrackedDecomposition:
         self.layer = layer
         self.nvars = nvars
         self.seeds: list[TrackedSeed] = []
-        self._echelon = RationalEchelon(coord_order=_COORD_KEY)
+        self._echelon = RationalEchelon(coord_order=_coord_key)
 
     def try_add(self, f: EPoly) -> str | None:
         """Track f; returns a rejection reason or None on success."""
@@ -143,7 +144,7 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
     out = []
     zero = EPoly.zero(u.nvars)
     for key in sorted((k for k in groups if k is not None),
-                      key=EPOLY_SORT_KEY):
+                      key=lambda k: k.sort_key):
         carrier = EPoly(u.nvars, groups[key])
         if carrier.is_zero():
             continue
@@ -422,7 +423,6 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
     (normal forms are linear), so the solutions form the integer kernel of
     the normal-form matrix; that kernel is saturated by construction.
     """
-    from .linalg import integer_kernel
     if not directions:
         return []
     if not cut.gens:
@@ -436,7 +436,6 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
         _, nf = gb.normal_form(encoded)
         row = {}
         for mono, coeff in nf.terms.items():
-            from .scalars import scalar_re, scalar_im
             for part, val in ((0, scalar_re(coeff)), (1, scalar_im(coeff))):
                 if val:
                     columns.setdefault((mono, part), len(columns))

@@ -143,6 +143,15 @@ def test_exit_code_parse_error(capsys):
     assert code == 3 and "column 6" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "khovanskii"])
+@pytest.mark.parametrize("at", ["abc", "1/0"])
+def test_exit_code_malformed_float_point(capsys, command, at):
+    code, out, err = run(capsys, command, "--model", "float", "E(X1)-1",
+                         "--at", at)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "member", "--ideal", "/nonexistent/I.txt", "1")
     assert code == 3

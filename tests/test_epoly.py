@@ -62,16 +62,16 @@ def test_variable_count_mismatch():
 def test_layer_decomposition_fixtures():
     x = EPoly.var(1, 0)
     d = (x * x + 1).layer_decompose()
-    assert len(d.parts) == 1 and d.parts[0] == x * x + 1
+    assert len(d) == 1 and d[0] == x * x + 1
 
     p = x + 2 * x.exp()
     d = p.layer_decompose()
-    assert d.parts[0] == x and d.parts[1] == 2 * x.exp()
-    assert d.recompose() == p
+    assert d[0] == x and d[1] == 2 * x.exp()
+    assert sum(d) == p
 
     p = x.exp().exp()
     d = p.layer_decompose()
-    assert d.parts[0].is_zero() and d.parts[1].is_zero() and d.parts[2] == p
+    assert d[0].is_zero() and d[1].is_zero() and d[2] == p
 
 
 def test_layer_decomposition_round_trip_sampled():
@@ -79,8 +79,8 @@ def test_layer_decomposition_round_trip_sampled():
     for _ in range(200):
         p = random_epoly(rng, 2, height=rng.randint(0, 3))
         d = p.layer_decompose()
-        assert d.recompose() == p
-        for i, part in enumerate(d.parts):
+        assert sum(d) == p
+        for i, part in enumerate(d):
             for key, _ in part.terms:
                 from expoly.epoly import term_layer
                 assert term_layer(key) == i
