@@ -34,8 +34,6 @@ from .scalars import (GaussianRational, as_scalar, format_scalar,
                       parse_scalar, scalar_sort_key)
 from .sparse import accumulate
 
-Mono = tuple
-
 
 def term_layer(key) -> int:
     mono, exponent = key

@@ -12,6 +12,13 @@ so any normal form can be expanded back into an exact combination of the
 inputs.  Reduced bases are unique for a fixed monomial order, which the
 determinism tests rely on.
 
+S-pairs wait in a heap and are taken smallest lcm first (the normal
+strategy), ties broken by basis position.  When an element enters the
+basis, the Gebauer-Moeller update (Gebauer and Moeller, J. Symbolic
+Comput. 6, 1988) drops the pairs known to reduce to zero: old pairs by the
+chain criterion B_k, new pairs by the criteria M and F, and pairs with
+coprime leading monomials by the product criterion.  See `buchberger`.
+
 Term dicts map monomials to nonzero coefficients.  Every sum, product and
 division step folds its (monomial, coefficient) pairs through
 `sparse.accumulate`, so equal monomials add up and cancelled terms vanish.
@@ -19,6 +26,7 @@ division step folds its (monomial, coefficient) pairs through
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .errors import Budget
@@ -281,7 +289,24 @@ class GroebnerBasis:
 
 def buchberger(gens, ring: PolyRing, budget: Budget | None = None
                ) -> GroebnerBasis:
-    """Reduced Groebner basis of <gens> with cofactor tracking."""
+    """Reduced Groebner basis of <gens> with cofactor tracking.
+
+    Each nonzero input, reduced against the inputs before it, enters the
+    basis; then S-pairs are reduced, smallest lcm first, and every nonzero
+    remainder enters too.  Pairs wait in a heap keyed by (order key of
+    lcm, i, j), where i > j are basis positions.  When an element h enters,
+    the Gebauer-Moeller update prunes the pairs:
+
+    - B_k: an old pair (i, j) is dropped if lm(h) divides its lcm and
+      lcm(i, h), lcm(j, h) both differ from it;
+    - M: a new pair (h, k) is dropped if the lcm of another new pair
+      properly divides its lcm;
+    - F: one new pair is kept per lcm, the one with the smallest k;
+    - product criterion: no pair with coprime leading monomials is kept,
+      and if one pair of an lcm is coprime, all pairs of that lcm go.
+
+    Dropped pairs are skipped when they reach the top of the heap.
+    """
     budget = budget or Budget()
     key = ring.order.key
     tracked = []
@@ -294,34 +319,48 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
     if not tracked:
         return GroebnerBasis(ring, gens, [], [], budget)
 
-    basis = []
+    basis, leads = [], []
+    heap = []   # (order key of lcm, i, j)
+    live = {}   # (i, j) -> lcm, for the pairs not dropped yet
+
+    def enter(tp):
+        h, mh = len(basis), tp.poly.lead()[0]
+        for (i, j), lcm in list(live.items()):  # B_k
+            if (mono_divides(mh, lcm) and mono_lcm(leads[i], mh) != lcm
+                    and mono_lcm(leads[j], mh) != lcm):
+                del live[i, j]
+        by_lcm = {}
+        for k, mk in enumerate(leads):
+            by_lcm.setdefault(mono_lcm(mh, mk), []).append(k)
+        for lcm, ks in by_lcm.items():
+            if any(other != lcm and mono_divides(other, lcm)
+                   for other in by_lcm):
+                continue  # M
+            if any(mono_mul(mh, leads[k]) == lcm for k in ks):
+                continue  # F with the product criterion
+            live[h, ks[0]] = lcm
+            heapq.heappush(heap, (key(lcm), h, ks[0]))
+        basis.append(tp)
+        leads.append(mh)
+
     for tp in tracked:
         reduced = _reduce_tracked(tp, basis, budget) if basis else tp
         if not reduced.poly.is_zero():
-            basis.append(reduced)
+            enter(reduced)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        # Normal strategy: smallest lcm first; index tie-break for determinism.
-        i, j = min(pairs, key=lambda ij: (key(mono_lcm(
-            basis[ij[0]].poly.lead()[0], basis[ij[1]].poly.lead()[0])), ij))
-        pairs.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        mi, ci = fi.poly.lead()
-        mj, cj = fj.poly.lead()
-        lcm = mono_lcm(mi, mj)
-        if mono_mul(mi, mj) == lcm:
-            continue  # coprime leading monomials reduce to zero
-        budget.spend()
-        spair = fi.combine(fj, mono_div(lcm, mi), Fraction(1),
-                           mono_div(lcm, mj), ci / cj)
-        reduced = _reduce_tracked(spair, basis, budget)
-        if reduced.poly.is_zero():
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        lcm = live.pop((i, j), None)
+        if lcm is None:
             continue
-        basis.append(reduced)
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((new, k))
+        fi, fj = basis[i], basis[j]
+        ci, cj = fi.poly.lead()[1], fj.poly.lead()[1]
+        budget.spend()
+        spair = fi.combine(fj, mono_div(lcm, leads[i]), Fraction(1),
+                           mono_div(lcm, leads[j]), ci / cj)
+        reduced = _reduce_tracked(spair, basis, budget)
+        if not reduced.poly.is_zero():
+            enter(reduced)
 
     return _interreduce(basis, ring, gens, budget)
 

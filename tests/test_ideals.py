@@ -20,6 +20,13 @@ X = EPoly.var(1, 0)
 ONE = EPoly.const(1, 1)
 
 
+def refined(gens, *covers):
+    """A handle on gens whose lattice also covers the given values."""
+    handle = IdealHandle(gens)
+    handle.presentation(also_cover=covers)
+    return handle
+
+
 class TestPresent:
     def test_no_exponents(self):
         assert present([X]).directions == ()
@@ -86,6 +93,10 @@ class TestGroebner:
             IdealHandle([(X * Fraction(1, 2)).exp() - 1]),
             IdealHandle([parse_epoly("X1*X2 + X2", 2),
                          parse_epoly("X2^2 - X1", 2)]),
+            IdealHandle([P(t, 3) for t in ("E(X1)-X2-1", "E(X2)-X3-1",
+                                           "X1*E(X3)-X2",
+                                           "X1*X2*X3-E(X1+X2)")]),
+            refined([X.exp() - 1], (X * Fraction(1, 60)).exp()),
         ]
         for handle in corpus:
             gb = handle.groebner()
@@ -107,6 +118,15 @@ class TestGroebner:
                              budget_limit=3)
         with pytest.raises(BudgetExceededError):
             handle.groebner()
+
+    def test_refinement_stream_within_budget(self):
+        # Each query refines the lattice of <E(X1)-1>, up to X1/60 at k = 5,
+        # and reruns Buchberger on u^60 - 1 and the unit relation.  With the
+        # pair criteria the k = 5 rerun takes 93 steps; with the coprime
+        # criterion alone it took 5,458.
+        handle = IdealHandle([X.exp() - 1], budget_limit=2000)
+        for k in (2, 3, 4, 5):
+            assert not handle.membership(P(f"E(1/{k}*X1) - 1")).member
 
 
 class TestMembership:
