@@ -15,8 +15,8 @@ from .errors import (BudgetExceededError, ExpolyError, InternalError,
                      ParseError, PartialityError, PreconditionError,
                      VariableCountError)
 from .textio import parse_epoly, parse_ideal_file
-from .ediff import (DerivationSpec, apply_derivation, derivation_defect,
-                    jacobian, partial_derivative)
+from .ediff import (DerivationSpec, apply_derivation, jacobian,
+                    partial_derivative)
 from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .ideals import (IdealHandle, LaurentPresentation, MembershipResult,
@@ -40,7 +40,7 @@ __all__ = [
     "Rational", "SPoly", "SaturationOutcome", "SeriesPoint", "TowerIdeal",
     "TrackedDecomposition", "TruncatedSeries", "VariableCountError",
     "adjoin_y", "apply_derivation", "augmentation", "augmentation_mod",
-    "dagger_check", "derivation_defect", "eval_epoly", "extract_power",
+    "dagger_check", "eval_epoly", "extract_power",
     "gaussian", "jacobian", "khovanskii_check", "nullstellensatz_pipeline",
     "one_certificate", "ord_reduce", "parse_epoly", "parse_ideal_file",
     "partial_derivative", "present", "real_kernel_check", "rewrite",

@@ -62,18 +62,6 @@ def partial_derivative(p: EPoly, j: int) -> EPoly:
     return apply_derivation(unit, p)
 
 
-def derivation_defect(spec: DerivationSpec, p: EPoly) -> EPoly:
-    """D(p) minus sum_j D(X_j) * dp/dX_j.
-
-    With the (forced) trivial action on the base field this is always zero;
-    it is exposed so the identity can be checked rather than assumed.
-    """
-    total = apply_derivation(spec, p)
-    for j, action in enumerate(spec.var_actions):
-        total = total - action * partial_derivative(p, j)
-    return total
-
-
 def jacobian(fs) -> EPoly:
     """Determinant of the matrix of partial derivatives of a square system."""
     fs = list(fs)

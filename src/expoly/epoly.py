@@ -22,6 +22,14 @@ The layer of a term is 0 when its exponent is trivial and 1 + height of the
 exponent otherwise; the height of a value is the maximal layer of its terms.
 These drive the decomposition into per-layer components and the ordinal
 complexity measure.
+
+Values are built by the folding constructor `EPoly(nvars, terms)`: it adds
+up repeated keys, drops zero sums and sorts.  Operations whose result is
+canonical by construction skip both through the private `EPoly._canonical`:
+`zero`, negation, multiplication by a nonzero scalar (the term order ignores
+coefficients), `exp` (a single term), and filters of a value's sorted terms
+(`layer_component`, `layer_decompose`, and the layer-other-than-n part of
+an exponent in `tower.rewrite`).
 """
 
 from __future__ import annotations
@@ -68,8 +76,20 @@ class EPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _canonical(cls, nvars: int, terms: tuple) -> "EPoly":
+        """Wrap a term tuple that is already canonical: ascending term order,
+        distinct keys and nonzero scalar coefficients.  Nothing is checked."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self._terms = terms
+        self._hash = None
+        self._height = None
+        self._key = None
+        return self
+
+    @classmethod
     def zero(cls, nvars: int) -> "EPoly":
-        return cls(nvars, {})
+        return cls._canonical(nvars, ())
 
     @classmethod
     def const(cls, nvars: int, c) -> "EPoly":
@@ -143,7 +163,8 @@ class EPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return EPoly(self.nvars, {k: -c for k, c in self._terms})
+        return EPoly._canonical(self.nvars,
+                                tuple((k, -c) for k, c in self._terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -159,7 +180,10 @@ class EPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return EPoly(self.nvars, {k: v * other for k, v in self._terms})
+            if not other:
+                return EPoly.zero(self.nvars)
+            return EPoly._canonical(
+                self.nvars, tuple((k, v * other) for k, v in self._terms))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -183,14 +207,10 @@ class EPoly:
 
     def exp(self) -> "EPoly":
         """E(p) = t^p, defined when the constant term lies in A(R) = {0}."""
-        c = self.constant_term()
-        if c != 0:
-            raise PartialityError(
-                f"E undefined: constant term {format_scalar(c)} "
-                "outside the exponential domain {0}")
-        if self.is_zero():
+        if _exp_argument(self) is None:
             return EPoly.const(self.nvars, 1)
-        return EPoly(self.nvars, {((0,) * self.nvars, self): Fraction(1)})
+        return EPoly._canonical(self.nvars,
+                                ((((0,) * self.nvars, self), Fraction(1)),))
 
     # -- layers, height, rank, complexity -----------------------------
 
@@ -202,16 +222,17 @@ class EPoly:
 
     def layer_component(self, i: int) -> "EPoly":
         """The sum of the terms of layer exactly i."""
-        return EPoly(self.nvars,
-                     {k: c for k, c in self._terms if term_layer(k) == i})
+        return EPoly._canonical(
+            self.nvars,
+            tuple((k, c) for k, c in self._terms if term_layer(k) == i))
 
     def layer_decompose(self) -> tuple["EPoly", ...]:
         """Per-layer components: part 0 in R_0 and part i in A_i for i >= 1;
         their sum is the value."""
-        acc = [{} for _ in range(self.height() + 1)]
+        acc = [[] for _ in range(self.height() + 1)]
         for k, c in self._terms:
-            acc[term_layer(k)][k] = c
-        return tuple(EPoly(self.nvars, a) for a in acc)
+            acc[term_layer(k)].append((k, c))
+        return tuple(EPoly._canonical(self.nvars, tuple(a)) for a in acc)
 
     def total_degree(self) -> int:
         return max((sum(k[0]) for k, _ in self._terms), default=0)
@@ -270,6 +291,17 @@ class EPoly:
         if data.get("format") != "epoly/1":
             raise ValueError(f"unsupported format {data.get('format')!r}")
         return _terms_from_json(data["terms"], data["nvars"])
+
+
+def _exp_argument(p):
+    """p as the exponent of E(p), None when p is zero; raises outside the
+    exponential domain."""
+    c = p.constant_term()
+    if c != 0:
+        raise PartialityError(
+            f"E undefined: constant term {format_scalar(c)} "
+            "outside the exponential domain {0}")
+    return p or None
 
 
 def _exp_add(a, b):

@@ -9,6 +9,12 @@ Grammar (whitespace insensitive)::
     gaussian := '(' rat ')' ('+'|'-') '(' rat ')' 'i'
     rat    := ['-'] <digits> ['/' <digits>]
 
+There are no parenthesised sums, so every term is coeff * X^mono * E(sum of
+arguments).  Each term is built in one pass as one (key, coefficient) pair:
+`X_j^k` adds k to the monomial vector, `E(...)` joins the running exponent
+by the group law and scalars multiply into the coefficient.  A whole
+expression is one EPoly built from the pairs of its terms.
+
 Printing is EPoly.__str__ (canonical descending term order); parse composed
 with print is the identity on canonical values.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .epoly import EPoly
+from .epoly import EPoly, _exp_add, _exp_argument
 from .errors import ParseError, VariableCountError
 from .scalars import IMAG_UNIT, gaussian
 
@@ -100,46 +106,50 @@ class _Parser:
         sign = 1
         if self.peek().kind in "+-":
             sign = -1 if self.take().kind == "-" else 1
-        out = self.parse_term() * sign
+        pairs = [self.parse_term(sign)]
         while self.peek().kind in "+-":
             sign = -1 if self.take().kind == "-" else 1
-            out = out + self.parse_term() * sign
-        return out
+            pairs.append(self.parse_term(sign))
+        return EPoly(self.nvars, pairs)
 
-    def parse_term(self) -> EPoly:
-        out = self.parse_factor()
-        while self.peek().kind == "*":
-            self.take()
-            out = out * self.parse_factor()
-        return out
-
-    def parse_factor(self) -> EPoly:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.take()
-            if tok.value < 1 or tok.value > self.nvars:
-                raise ParseError(
-                    f"variable X{tok.value} out of range for "
-                    f"{self.nvars} variables", tok.line, tok.col)
-            base = EPoly.var(self.nvars, tok.value - 1)
-            if self.peek().kind == "^":
+    def parse_term(self, coeff):
+        """One term as ((mono, exponent), coeff), its factors multiplied in."""
+        mono = [0] * self.nvars
+        exponent = None
+        while True:
+            tok = self.peek()
+            if tok.kind == "var":
                 self.take()
-                power = self.take("num")
-                return base ** power.value
-            return base
-        if tok.kind == "E":
+                if tok.value < 1 or tok.value > self.nvars:
+                    raise ParseError(
+                        f"variable X{tok.value} out of range for "
+                        f"{self.nvars} variables", tok.line, tok.col)
+                power = 1
+                if self.peek().kind == "^":
+                    self.take()
+                    power = self.take("num").value
+                mono[tok.value - 1] += power
+            elif tok.kind == "E":
+                self.take()
+                self.take("(")
+                arg = self.parse_epoly()
+                self.take(")")
+                exponent = _exp_add(exponent, _exp_argument(arg))
+            else:
+                coeff = coeff * self.parse_scalar_factor()
+            if self.peek().kind != "*":
+                return (tuple(mono), exponent), coeff
             self.take()
-            self.take("(")
-            arg = self.parse_epoly()
-            self.take(")")
-            return arg.exp()
+
+    def parse_scalar_factor(self):
+        tok = self.peek()
         if tok.kind == "num":
-            return EPoly.const(self.nvars, self.parse_rational(signed=False))
+            return self.parse_rational(signed=False)
         if tok.kind == "i":
             self.take()
-            return EPoly.const(self.nvars, IMAG_UNIT)
+            return IMAG_UNIT
         if tok.kind == "(":
-            return EPoly.const(self.nvars, self.parse_gaussian())
+            return self.parse_gaussian()
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
     def parse_rational(self, signed=True) -> Fraction:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .epoly import EPoly
+from .epoly import EPoly, term_layer
 from .errors import InternalError, PreconditionError
 from .ideals import (IdealHandle, augmentation_mod, _coord_key,
                      _coords_epoly, _epoly_coords)
@@ -72,12 +72,11 @@ class TrackedDecomposition:
         is the unique tracked-span ideal element with projection a0."""
         residual, coeffs = self._echelon.reduce(_epoly_coords(a))
         a1 = _coords_epoly(residual, self.nvars)
-        fhat = EPoly.zero(self.nvars)
-        fhat_lower = EPoly.zero(self.nvars)
-        for idx, lam in coeffs.items():
-            seed = self.seeds[idx]
-            fhat = fhat + seed.element * lam
-            fhat_lower = fhat_lower + seed.lower * lam
+        scaled = [(self.seeds[idx], lam) for idx, lam in coeffs.items()]
+        fhat = EPoly(self.nvars, ((k, c * lam) for seed, lam in scaled
+                                  for k, c in seed.element.terms))
+        fhat_lower = EPoly(self.nvars, ((k, c * lam) for seed, lam in scaled
+                                        for k, c in seed.lower.terms))
         return a1, fhat, fhat_lower
 
     def in_span(self, a: EPoly) -> bool:
@@ -136,9 +135,9 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
                 rest = exponent
             else:
                 key = component
-                rest = exponent - component
-                if rest.is_zero():
-                    rest = None
+                rest = EPoly._canonical(
+                    u.nvars, tuple((k, c) for k, c in exponent.terms
+                                   if term_layer(k) != n)) or None
         groups.setdefault(key, []).append(((mono, rest), coeff))
 
     out = []
@@ -274,9 +273,8 @@ class TowerIdeal:
                         break
             if not refreshed:
                 break
-        image = EPoly.zero(p.nvars)
-        for term in terms:
-            image = image + term.coefficient
+        image = EPoly(p.nvars, (pair for term in terms
+                                for pair in term.coefficient.terms))
         return self.membership(image, level - 1)
 
     def extend_one_step(self, seeds=None) -> "TowerIdeal":

@@ -86,3 +86,31 @@ def test_epoly_distributivity(a, b, c):
 def test_epoly_additive_inverse(a):
     assert (a - a).is_zero()
     assert a + (-a) == 0
+
+
+# Exponents nested two deep, some with Q(i) coefficients, for the values
+# whose term order is kept rather than re-sorted.
+NESTED = EXPONENTS + [X2 * (X1 * X2.exp()).exp(),
+                      gaussian(1, 2) * X2 + X1 * X1.exp()]
+nonzero_factors = st.one_of(scalars.filter(bool),
+                            st.integers(-3, 3).filter(bool))
+
+
+def assert_canonical(p):
+    """p equals its own terms rebuilt by the folding constructor."""
+    rebuilt = EPoly(p.nvars, list(p.terms))
+    assert p.terms == rebuilt.terms
+    assert hash(p) == hash(rebuilt)
+    assert p.sort_key == rebuilt.sort_key
+
+
+@PROPERTY
+@given(pair_lists(st.tuples(monos, st.sampled_from(NESTED))).map(
+    lambda pairs: EPoly(NVARS, pairs)), nonzero_factors, st.integers(0, 3))
+def test_order_preserving_results_are_canonical(p, c, i):
+    assert p * c == c * p == p * EPoly.const(NVARS, c)
+    for result in (-p, p * c, c * p, p.layer_component(i),
+                   *p.layer_decompose(), EPoly.zero(NVARS),
+                   (p - p.constant_term()).exp()):
+        assert_canonical(result)
+    assert (p * 0).is_zero() and (p * Fraction(0)).is_zero()

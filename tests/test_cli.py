@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from expoly import PartialityError, parse_epoly
 from expoly.cli import main
 
 
@@ -152,6 +153,33 @@ def test_exit_code_malformed_float_point(capsys, command, at):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def test_member_large_power_parses_in_one_step(ideal_file):
+    """X1^k adds k to an exponent; it is not k products of X1."""
+    path = ideal_file("I.txt", "X1")
+    proc = subprocess.run([sys.executable, "-m", "expoly", "member",
+                           "--ideal", path, "X1^100000000"],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "true"
+
+
+def test_parse_term_products():
+    assert parse_epoly("X1^0", 1) == 1
+    assert parse_epoly("E(X1)*E(-X1)", 1) == 1
+    with pytest.raises(PartialityError):
+        parse_epoly("E(1 + X1)", 1)
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "member", "--ideal", "/nonexistent/I.txt", "1")
     assert code == 3
@@ -211,12 +239,8 @@ def test_exit_code_internal_error_under_optimize(ideal_file):
     """A cofactor that fails to re-expand raises InternalError and exits 4,
     also with assertions compiled out."""
     path = ideal_file("I.txt", "X1")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
-                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-c", FORCED_MISMATCH, path],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_src_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["InternalError", "InternalError", "4", "4"]
