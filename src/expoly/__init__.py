@@ -24,9 +24,8 @@ from .ideals import (IdealHandle, LaurentPresentation, MembershipResult,
 from .tower import (DaggerReport, SaturationOutcome, TowerIdeal,
                     TrackedDecomposition, dagger_check, real_kernel_check,
                     rewrite, rewrite_expand, saturate_level_one, split_tilde)
-from .rabin import (CertificateResult, PipelineReport, PowerResult, SPoly,
-                    adjoin_y, extract_power, nullstellensatz_pipeline,
-                    one_certificate)
+from .rabin import (CertificateResult, PipelineReport, PowerResult,
+                    extract_power, nullstellensatz_pipeline, one_certificate)
 
 __version__ = "0.1.0"
 
@@ -37,9 +36,9 @@ __all__ = [
     "InternalError", "LaurentPresentation",
     "MembershipResult", "OrdinalCNF", "ParseError", "PartialityError",
     "PipelineReport", "PowerResult", "PreconditionError", "RATIONALS",
-    "Rational", "SPoly", "SaturationOutcome", "SeriesPoint", "TowerIdeal",
+    "Rational", "SaturationOutcome", "SeriesPoint", "TowerIdeal",
     "TrackedDecomposition", "TruncatedSeries", "VariableCountError",
-    "adjoin_y", "apply_derivation", "augmentation", "augmentation_mod",
+    "apply_derivation", "augmentation", "augmentation_mod",
     "dagger_check", "eval_epoly", "extract_power",
     "gaussian", "jacobian", "khovanskii_check", "nullstellensatz_pipeline",
     "one_certificate", "ord_reduce", "parse_epoly", "parse_ideal_file",

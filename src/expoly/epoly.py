@@ -348,11 +348,20 @@ def _terms_to_json(p: EPoly) -> list:
 
 
 def _terms_from_json(items, nvars: int) -> EPoly:
+    """Inverse of `_terms_to_json`.  A wrong monomial length, a repeated key
+    or an exponent outside the domain raises; an empty exponent is t^0."""
     acc = {}
     for item in items:
         mono = tuple(item["monomial"])
+        if len(mono) != nvars:
+            raise VariableCountError(
+                f"monomial {list(mono)} in a value over {nvars} variables")
         exponent = (None if item["exponent"] is None
-                    else _terms_from_json(item["exponent"], nvars))
+                    else _exp_argument(_terms_from_json(item["exponent"],
+                                                        nvars)))
+        if (mono, exponent) in acc:
+            raise ValueError(f"repeated term key in epoly/1: {list(mono)}, "
+                             f"exponent {exponent}")
         acc[(mono, exponent)] = parse_scalar(item["coeff"])
     return EPoly(nvars, acc)
 

@@ -86,22 +86,17 @@ class _LayerLattice:
 class LaurentPresentation:
     """Finite encoding of a tower slice as a Laurent polynomial ring."""
 
-    def __init__(self, nvars: int, directions, layers, extra_names=()):
+    def __init__(self, nvars: int, directions, layers):
         self.nvars = nvars
         self.directions = tuple(directions)
         self._layers = layers  # {layer: _LayerLattice}
-        self.extra_names = tuple(extra_names)
         names = [f"X{j + 1}" for j in range(nvars)]
         for i in range(len(self.directions)):
             names += [f"u{i + 1}", f"v{i + 1}"]
-        names += list(self.extra_names)
         self.ring = PolyRing(names)
 
     def uv_index(self, i: int) -> tuple[int, int]:
         return self.nvars + 2 * i, self.nvars + 2 * i + 1
-
-    def extra_index(self, k: int) -> int:
-        return self.nvars + 2 * len(self.directions) + k
 
     def eliminated_var_indices(self, level: int) -> list[int]:
         """Ring variables of all directions living strictly above `level`."""
@@ -140,8 +135,7 @@ class LaurentPresentation:
             coords = self.exponent_coordinates(exponent)
             if coords is None:
                 return None
-            full = list(mono) + [0] * (2 * len(self.directions)
-                                       + len(self.extra_names))
+            full = list(mono) + [0] * (2 * len(self.directions))
             for i, k in enumerate(coords):
                 ui, vi = self.uv_index(i)
                 if k > 0:
@@ -173,11 +167,6 @@ class LaurentPresentation:
                 if k:
                     piece = direction.epoly * k
                     exponent = piece if exponent is None else exponent + piece
-            for k in range(len(self.extra_names)):
-                if mono[self.extra_index(k)]:
-                    raise PreconditionError(
-                        "cannot decode a polynomial using the extra variable "
-                        f"{self.extra_names[k]}")
             if exponent is not None and exponent.is_zero():
                 exponent = None
             pairs.append(((mono[:self.nvars], exponent), coeff))
@@ -190,7 +179,7 @@ class LaurentPresentation:
         return "exponent lattice: " + ", ".join(bits)
 
 
-def present(ps, nvars: int | None = None, extra_names=()) -> LaurentPresentation:
+def present(ps, nvars: int | None = None) -> LaurentPresentation:
     """Minimal layer-adapted presentation covering every exponent in ps.
 
     Deterministic for a fixed input order: exponent components are processed
@@ -249,7 +238,7 @@ def present(ps, nvars: int | None = None, extra_names=()) -> LaurentPresentation
             directions.append(
                 LatticeDirection(_coords_epoly(coords, nvars), layer + 1))
         layers[layer] = _LayerLattice(echelon, denom, hermite, offset)
-    return LaurentPresentation(nvars, directions, layers, extra_names)
+    return LaurentPresentation(nvars, directions, layers)
 
 
 class MembershipResult(NamedTuple):

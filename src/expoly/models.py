@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .ediff import jacobian
 from .epoly import EPoly
-from .errors import PartialityError, VariableCountError
+from .errors import PartialityError, PreconditionError, VariableCountError
 from .scalars import (GaussianRational, as_scalar, format_scalar, scalar_im,
                       scalar_re)
 
@@ -25,12 +25,10 @@ class TruncatedSeries:
     def __init__(self, coeffs, order=None):
         coeffs = [as_scalar(c) for c in coeffs]
         if order is not None:
-            if len(coeffs) > order:
-                coeffs = coeffs[:order]
-            else:
-                coeffs = coeffs + [Fraction(0)] * (order - len(coeffs))
+            # Pad or truncate to `order`; an order below 1 leaves nothing.
+            coeffs = (coeffs + [Fraction(0)] * order)[:max(order, 0)]
         if not coeffs:
-            raise ValueError("truncation order must be at least 1")
+            raise PreconditionError("truncation order must be at least 1")
         self.coeffs = tuple(coeffs)
 
     @property

@@ -1,122 +1,47 @@
 """Radical-membership certificates via an adjoined inverse variable.
 
-A single ordinary variable Y (never inside an exponential) is adjoined; if
-1 lies in the ideal generated by h_1..h_m and 1 - Y*g, the tracked
-cofactors give, after substituting the inverse of g for Y and clearing
-denominators, an exact identity g^d = sum c_i * h_i back in the original
-ring.  Every emitted certificate is re-expanded and checked; a failed check
-is flagged, never silently accepted.
+A single ordinary variable Y (never inside an exponential) is adjoined as
+the last variable of the presented ring; if 1 lies in the ideal generated
+by h_1..h_m and 1 - Y*g, the tracked cofactors give, after substituting the
+inverse of g for Y and clearing denominators, an exact identity
+g^d = sum c_i * h_i back in the original ring.
+
+Cofactors are graded by Y: `coeffs` maps each Y-degree k to a nonzero
+exponential polynomial.  1 = sum t_i*h_i + (1 - Y*g)*r is checked exactly,
+one degree at a time: sum_i t_i[k]*h_i + r[k] - g*r[k-1] is 1 at k = 0 and
+0 above.  g^d = sum c_i * h_i is re-expanded too; a failed check is
+flagged, never silently accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .epoly import EPoly
 from .errors import Budget, InternalError, VariableCountError
 from .ideals import IdealHandle, present
-from .polyring import Poly, buchberger
+from .polyring import Poly, PolyRing, buchberger
 from .sparse import accumulate
 from .tower import DaggerReport, dagger_check
 
 
-class SPoly:
-    """Polynomial in Y with exponential-polynomial coefficients; Y is an
-    ordinary variable and never occurs inside an E-node."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs=()):
-        """Coefficients are a {degree: EPoly} mapping or (degree, EPoly)
-        pairs; repeated degrees add up."""
-        self.nvars = nvars
-        self.coeffs = accumulate(coeffs)
-
-    @classmethod
-    def from_epoly(cls, p: EPoly) -> "SPoly":
-        return cls(p.nvars, {0: p})
-
-    @classmethod
-    def y(cls, nvars: int) -> "SPoly":
-        return cls(nvars, {1: EPoly.const(nvars, 1)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def coefficient(self, deg: int) -> EPoly:
-        return self.coeffs.get(deg, EPoly.zero(self.nvars))
-
-    def _check(self, other):
-        if isinstance(other, EPoly):
-            other = SPoly.from_epoly(other)
-        if not isinstance(other, SPoly):
-            raise TypeError(f"cannot combine SPoly with {other!r}")
-        if other.nvars != self.nvars:
-            raise VariableCountError("arity mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return SPoly(self.nvars,
-                     [*self.coeffs.items(), *other.coeffs.items()])
-
-    def __neg__(self):
-        return SPoly(self.nvars, {d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return SPoly(self.nvars, ((da + db, ca * cb)
-                                  for da, ca in self.coeffs.items()
-                                  for db, cb in other.coeffs.items()))
-
-    def __eq__(self, other):
-        if isinstance(other, (EPoly, SPoly)):
-            other = self._check(other)
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for deg in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[deg]
-            if deg == 0:
-                bits.append(str(c))
-            else:
-                ypow = "Y" if deg == 1 else f"Y^{deg}"
-                bits.append(f"({c})*{ypow}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def adjoin_y(p: EPoly) -> SPoly:
-    """Degree-zero embedding into the ring with the inverse variable."""
-    return SPoly.from_epoly(p)
+class _YGraded(NamedTuple):
+    """A cofactor graded by Y-degree: {degree: nonzero EPoly}."""
+    coeffs: dict
 
 
 @dataclass
 class CertificateResult:
     found: bool
-    t: tuple | None = None          # SPoly cofactors of the h_i
-    r: SPoly | None = None          # SPoly cofactor of 1 - Y*g
+    t: tuple | None = None          # Y-graded cofactors of the h_i
+    r: _YGraded | None = None       # Y-graded cofactor of 1 - Y*g
     lattice: str = ""
 
     def max_degree(self) -> int:
-        if not self.t:
-            return 0
-        return max((s.degree() for s in self.t if not s.is_zero()), default=0)
+        return max((max(s.coeffs, default=0) for s in self.t or ()),
+                   default=0)
 
 
 def one_certificate(hs, g: EPoly, budget_limit: int | None = 1_000_000
@@ -128,39 +53,44 @@ def one_certificate(hs, g: EPoly, budget_limit: int | None = 1_000_000
     for h in hs:
         if h.nvars != nvars:
             raise VariableCountError("arity mismatch in the system")
-    pres = present(hs + [g], nvars=nvars, extra_names=("Y",))
-    ring = pres.ring
-    y = ring.var(pres.extra_index(0))
-    encoded_h = [pres.encode(h) for h in hs]
-    one_minus_yg = ring.const(Fraction(1)) - y * pres.encode(g)
-    gens = encoded_h + [one_minus_yg]
-    gb = buchberger(gens + pres.relations(), ring, Budget(budget_limit))
+    pres = present(hs + [g], nvars=nvars)
+    ring = PolyRing(pres.ring.names + ("Y",))
+
+    def with_y(q: Poly) -> Poly:
+        return Poly(ring, {mono + (0,): c for mono, c in q.terms.items()})
+
+    one_minus_yg = (ring.const(Fraction(1))
+                    - ring.var(ring.nvars - 1) * with_y(pres.encode(g)))
+    gens = [with_y(pres.encode(h)) for h in hs] + [one_minus_yg]
+    gb = buchberger(gens + [with_y(rel) for rel in pres.relations()], ring,
+                    Budget(budget_limit))
     cof = gb.cofactors(ring.const(Fraction(1)))
     if cof is None:
         return CertificateResult(found=False, lattice=pres.describe())
     t = tuple(_decode_with_y(c, pres) for c in cof[:len(hs)])
     r = _decode_with_y(cof[len(hs)], pres)
-    # Exact verification in the adjoined ring.
-    total = SPoly(nvars)
-    for ti, hi in zip(t, hs):
-        total = total + ti * adjoin_y(hi)
-    check = (SPoly.from_epoly(EPoly.const(nvars, 1))
-             - SPoly.y(nvars) * adjoin_y(g))
-    total = total + r * check
-    if total != SPoly.from_epoly(EPoly.const(nvars, 1)):
-        raise InternalError("internal error: certificate fails to expand")
+    # Exact verification, one Y-degree at a time (see the module docstring).
+    top = max(max(s.coeffs, default=0) for s in (*t, r))
+    for k in range(top + 2):
+        parts = [ti.coeffs[k] * h for ti, h in zip(t, hs) if k in ti.coeffs]
+        if k in r.coeffs:
+            parts.append(r.coeffs[k])
+        if k - 1 in r.coeffs:
+            parts.append(-(g * r.coeffs[k - 1]))
+        total = EPoly(nvars, [term for part in parts for term in part.terms])
+        if total != (1 if k == 0 else 0):
+            raise InternalError("internal error: certificate fails to expand")
     return CertificateResult(found=True, t=t, r=r, lattice=pres.describe())
 
 
-def _decode_with_y(q: Poly, pres) -> SPoly:
-    """Split a presented polynomial by Y-degree and decode each slice."""
-    yindex = pres.extra_index(0)
+def _decode_with_y(q: Poly, pres) -> _YGraded:
+    """Split a polynomial in the presentation's variables and a trailing Y
+    by Y-degree and decode each slice; slices decoding to zero are dropped."""
     slices: dict[int, list] = {}
     for mono, coeff in q.terms.items():
-        stripped = tuple(0 if i == yindex else e for i, e in enumerate(mono))
-        slices.setdefault(mono[yindex], []).append((stripped, coeff))
-    return SPoly(pres.nvars, {deg: pres.decode(Poly(pres.ring, pairs))
-                              for deg, pairs in slices.items()})
+        slices.setdefault(mono[-1], []).append((mono[:-1], coeff))
+    return _YGraded(accumulate((deg, pres.decode(Poly(pres.ring, pairs)))
+                               for deg, pairs in slices.items()))
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """The one sparse-accumulate rule shared by every finite sum in the package.
 
 Exponential polynomials, their Laurent encodings, rational vectors and
-polynomials in the adjoined variable Y are all dicts from keys to nonzero
+Y-graded Rabinowitsch cofactors are all dicts from keys to nonzero
 coefficients.  They are built by folding (key, coeff) pairs: equal keys add
 up and a sum that is zero is dropped, so no stored coefficient is ever zero.
 Coefficients only need `+` and truthiness (nonzero), which holds for exact

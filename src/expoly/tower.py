@@ -241,10 +241,6 @@ class TowerIdeal:
     def tracked_seeds(self, layer: int) -> list[EPoly]:
         return [s.element for s in self.decomposition(layer).seeds]
 
-    def derived_generators(self, layer: int) -> list[EPoly]:
-        """The recorded E(f) - 1 for seeds tracked at the given layer."""
-        return [s.element.exp() - 1 for s in self.decomposition(layer).seeds]
-
     def membership(self, p: EPoly, level: int | None = None) -> bool:
         level = self.top_level if level is None else level
         if not self.base_layer <= level <= self.top_level:
@@ -483,9 +479,6 @@ class RealKernelReport:
     @property
     def falsified(self) -> bool:
         return any(e.sum_in_kernel and e.offenders for e in self.entries)
-
-    def falsifications(self):
-        return [e for e in self.entries if e.sum_in_kernel and e.offenders]
 
 
 def real_kernel_check(ideal: IdealHandle, witness_tuples, layer: int

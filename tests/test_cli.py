@@ -153,6 +153,15 @@ def test_exit_code_malformed_float_point(capsys, command, at):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "khovanskii"])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_exit_code_order_below_one(capsys, command, order):
+    code, out, err = run(capsys, command, "--order", order, "E(X1)-1",
+                         "--at", "0,1,2,3")
+    assert code == 1 and out == ""
+    assert err == "error: truncation order must be at least 1\n"
+
+
 def _src_env():
     """The environment with this checkout's `src` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -221,3 +221,22 @@ def test_json_export_round_trip():
         doc = json.loads(json.dumps(p.to_dict()))
         assert doc["format"] == "epoly/1"
         assert EPoly.from_dict(doc) == p
+
+
+def _term(monomial, coeff="1", exponent=None):
+    return {"monomial": monomial, "exponent": exponent, "coeff": coeff}
+
+
+@pytest.mark.parametrize("terms, expected", [
+    ([_term([1, 2])], VariableCountError),                 # wrong length
+    ([_term([1], "1"), _term([1], "2")], ValueError),      # repeated key
+    ([_term([1], exponent=[_term([0])])], PartialityError),  # X1*E(1)
+    ([_term([1], exponent=[])], EPoly.var(1, 0)),          # E(0) is t^0
+], ids=["wrong-length", "repeated-key", "nonzero-constant", "empty-exponent"])
+def test_from_dict_rejects_malformed_terms(terms, expected):
+    doc = {"format": "epoly/1", "nvars": 1, "terms": terms}
+    if isinstance(expected, EPoly):
+        assert EPoly.from_dict(doc) == expected
+    else:
+        with pytest.raises(expected):
+            EPoly.from_dict(doc)
