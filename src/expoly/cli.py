@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (partiality, precondition violation),
-2 step budget exceeded, 3 I/O or syntax error, 4 internal error (a failed
-consistency check such as a certificate that does not re-expand).  `--json` switches every
-subcommand to machine-readable output.
+2 step budget exceeded, 3 I/O or syntax error (a usage error included),
+4 internal error (a failed consistency check such as a certificate that
+does not re-expand).  `--json` switches every subcommand to
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from fractions import Fraction
 from .ediff import DerivationSpec, apply_derivation, jacobian, partial_derivative
 from .epoly import EPoly, ord_reduce
 from .errors import (BudgetExceededError, ExpolyError, InternalError,
-                     ParseError, PartialityError, PreconditionError,
-                     VariableCountError)
+                     ParseError, PreconditionError, VariableCountError)
 from .ideals import IdealHandle, augmentation, augmentation_mod
 from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
@@ -255,11 +255,9 @@ def cmd_saturate(args, out):
 
 
 def cmd_rabinowitsch(args, out):
-    ideal_gens = parse_ideal_file(args.ideal, args.vars)
-    nvars = ideal_gens[0].nvars if ideal_gens else (args.vars or 1)
-    [g], _ = _parse_exprs([args.g], nvars)
-    report = nullstellensatz_pipeline(ideal_gens, g,
-                                      budget_limit=args.budget)
+    ideal = _load_ideal(args)
+    [g], _ = _parse_exprs([args.g], ideal.nvars)
+    report = nullstellensatz_pipeline(ideal.gens, g, budget_limit=args.budget)
     out(json.dumps(report.to_dict()) if args.json else report.describe())
     return 0
 
@@ -379,8 +377,22 @@ def _random_zero_const(rng, nvars):
     return p - p.constant_term()
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a syntax error: usage line, then exit 3."""
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _step_budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"step budget must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="expoly",
         description="Exact computation in exponential polynomial rings")
     sub = top.add_subparsers(dest="command", required=True)
@@ -388,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, vars_flag=True):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--budget", type=int, default=1_000_000,
+        p.add_argument("--budget", type=_step_budget, default=1_000_000,
                        help="reduction step budget (default 10^6)")
         if vars_flag:
             p.add_argument("--vars", type=int, default=None,
@@ -493,6 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Exit code of each error kind, most specific first.
+_EXIT_CODES = ((BudgetExceededError, 2),
+               ((ParseError, OSError, json.JSONDecodeError), 3),
+               (InternalError, 4), (ExpolyError, 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -502,24 +520,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args, out)
-    except ParseError as exc:
+    except (ExpolyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except BudgetExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except InternalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except (PartialityError, PreconditionError, VariableCountError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ExpolyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return next(code for kinds, code in _EXIT_CODES
+                    if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ ideal is presented over a finite exponent lattice: a layer-adapted list of
 Q-independent directions b_1..b_m such that every encountered exponent is an
 integer combination.  Each direction becomes a unit u_i (with inverse v_i,
 relation u_i*v_i - 1) of an ordinary polynomial ring, where Groebner bases
-decide membership, cofactors certify it, and block elimination computes
+decide membership, cofactors certify it (lifted from the basis's reduction
+trace only when a certificate is printed), and block elimination computes
 subring intersections.
 
 Verdicts are relative to the lattice slice: queries whose exponents fall
@@ -274,9 +275,6 @@ class IdealHandle:
         """The smallest n with all generators in R_n."""
         return max((g.height() for g in self.gens), default=0)
 
-    def _budget(self) -> Budget:
-        return Budget(self.budget_limit)
-
     def presentation(self, also_cover=()) -> LaurentPresentation:
         fresh = [p for p in also_cover
                  if self._pres is None or not self._pres.covers(p)]
@@ -302,13 +300,22 @@ class IdealHandle:
         variables under some monomial order)."""
         encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
         relations = [Poly(ring, rel.terms) for rel in pres.relations()]
-        return buchberger(encoded + relations, ring, self._budget())
+        return buchberger(encoded + relations, ring,
+                          Budget(self.budget_limit))
 
-    def membership(self, p: EPoly) -> MembershipResult:
+    def _presented(self, p: EPoly):
         if p.nvars != self.nvars:
             raise VariableCountError("query arity mismatch")
-        pres = self.presentation(also_cover=(p,))
-        gb = self.groebner()
+        return self.presentation(also_cover=(p,)), self.groebner()
+
+    def decide(self, p: EPoly) -> bool:
+        """Membership from the normal form alone: no cofactor is lifted."""
+        pres, gb = self._presented(p)
+        return gb.normal_form(pres.encode(p))[1].is_zero()
+
+    def membership(self, p: EPoly) -> MembershipResult:
+        """The verdict with cofactors, checked by exact re-expansion."""
+        pres, gb = self._presented(p)
         cof = gb.cofactors(pres.encode(p))
         if cof is None:
             return MembershipResult(False, None)
@@ -343,7 +350,7 @@ class IdealHandle:
                            budget_limit=self.budget_limit)
 
     def is_proper(self) -> bool:
-        return not self.membership(EPoly.const(self.nvars, 1)).member
+        return not self.decide(EPoly.const(self.nvars, 1))
 
     def __repr__(self):
         return f"IdealHandle([{', '.join(str(g) for g in self.gens)}])"

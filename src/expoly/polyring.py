@@ -2,15 +2,13 @@
 
 This is the machine room for ideal computations: ordinary polynomial rings
 whose variables are the formal X's plus the u/v pairs encoding group
-elements (and optionally one extra ordinary variable).  Coefficients are
-exact scalars (Fraction or GaussianRational); the code only relies on field
-operators.
+elements.  Coefficients are exact scalars (Fraction or GaussianRational);
+the code only relies on field operators.
 
-The Buchberger implementation tracks cofactors: every basis element carries
-its representation over the input generators, and division tracks quotients,
-so any normal form can be expanded back into an exact combination of the
-inputs.  Reduced bases are unique for a fixed monomial order, which the
-determinism tests rely on.
+Buchberger runs on bare polynomials and keeps a reduction trace, from
+which cofactors over the inputs are lifted only when asked for, through
+the elements a query's quotients use.  Reduced bases are unique for a fixed
+monomial order, which the determinism tests rely on.
 
 S-pairs wait in a heap and are taken smallest lcm first (the normal
 strategy), ties broken by basis position.  When an element enters the
@@ -158,9 +156,6 @@ class Poly:
         return Poly(self.ring, {mono_mul(m, mono): c * coeff
                                 for m, c in self.terms.items()})
 
-    def scale(self, coeff) -> "Poly":
-        return self * coeff
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
@@ -199,7 +194,7 @@ def reduce_full(p: Poly, reducers, budget: Budget):
     """
     ring = p.ring
     key = ring.order.key
-    quotients = [ring.zero() for _ in reducers]
+    quotients = [{} for _ in reducers]  # m only falls: no key repeats
     remainder = {}
     work = dict(p.terms)
     leads = [r.lead() for r in reducers]
@@ -212,62 +207,81 @@ def reduce_full(p: Poly, reducers, budget: Budget):
                 budget.spend()
                 qm = mono_div(m, lm)
                 qc = c / lc
-                quotients[i] = quotients[i] + Poly(ring, {qm: qc})
+                quotients[i][qm] = qc
                 accumulate(((mono_mul(rm, qm), -rc * qc)
                             for rm, rc in red.terms.items() if rm != lm),
                            into=work)
                 break
         else:
             remainder[m] = c
-    return quotients, Poly(ring, remainder)
+    return [Poly(ring, q) for q in quotients], Poly(ring, remainder)
 
 
-class TrackedPoly:
-    """A polynomial together with its representation over the input list."""
-
-    __slots__ = ("poly", "rep")
-
-    def __init__(self, poly: Poly, rep):
-        self.poly = poly
-        self.rep = list(rep)
-
-    def combine(self, other: "TrackedPoly", mono_s, coeff_s, mono_o, coeff_o):
-        poly = (self.poly.mul_term(mono_s, coeff_s)
-                - other.poly.mul_term(mono_o, coeff_o))
-        rep = [a.mul_term(mono_s, coeff_s) - b.mul_term(mono_o, coeff_o)
-               for a, b in zip(self.rep, other.rep)]
-        return TrackedPoly(poly, rep)
-
-
-def _reduce_tracked(tp: TrackedPoly, basis, budget: Budget) -> TrackedPoly:
-    quotients, remainder = reduce_full(tp.poly, [b.poly for b in basis],
-                                       budget)
-    rep = list(tp.rep)
-    for q, b in zip(quotients, basis):
-        if q.is_zero():
-            continue
-        for i, r in enumerate(b.rep):
-            if not r.is_zero():
-                rep[i] = rep[i] - q * r
-    return TrackedPoly(remainder, rep)
+def _traced(nodes, quotients):
+    """The nonzero (node, quotient) pairs of a division by `nodes`."""
+    return [(n, q) for n, q in zip(nodes, quotients) if q]
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis with exact cofactor matrices.
+    """Reduced Groebner basis with the reduction trace of each element.
 
-    elements[k] == sum_i reps[k][i] * input_gens[i] holds exactly; the
-    normal-form routine returns quotients over the basis, from which
-    cofactors over the inputs are assembled.  Each normal-form call gets a
-    fresh step budget with the limit the basis was built under.
+    A trace node (origin, quotients, scale) stands for scale * (origin -
+    sum of q * node over its nonzero (node, q) quotients); origin is an
+    input index or (node, monomial, coefficient) terms.  The representation
+    elements[k] == sum_i reps[k][i] * input_gens[i] is lifted on demand and
+    memoized, and `cofactors` lifts only the elements its quotients use.
+    Each normal-form call gets a fresh step budget with the limit the basis
+    was built under.
     """
 
-    def __init__(self, ring, input_gens, elements, reps, budget: Budget):
+    def __init__(self, ring, input_gens, elements, nodes, budget: Budget):
         self.ring = ring
-        self.order = ring.order
         self.input_gens = list(input_gens)
         self.elements = list(elements)
-        self.reps = [list(r) for r in reps]
+        self._nodes = list(nodes)
+        self._reps = {}  # id(node) -> {input index: nonzero term dict}
         self.budget_limit = budget.limit
+
+    def _combine(self, parts, acc):
+        """Fold terms * rep(node) over (node, terms) parts into acc, a
+        {input index: term dict}, and return its nonzero entries."""
+        for node, terms in parts:
+            for i, r in self._reps[id(node)].items():
+                accumulate(((mono_mul(m, tm), c * tc)
+                            for m, c in r.items() for tm, tc in terms),
+                           into=acc.setdefault(i, {}))
+        return {i: t for i, t in acc.items() if t}
+
+    def _lift(self, nodes):
+        """Memoize the representation of `nodes` and of every node they
+        depend on, children first, on an explicit stack (no recursion)."""
+        stack = list(nodes)
+        while stack:
+            node = stack[-1]
+            if id(node) in self._reps:
+                stack.pop()
+                continue
+            origin, quotients, s = node
+            leaf = isinstance(origin, int)
+            parts = [] if leaf else [(n, ((m, c * s),)) for n, m, c in origin]
+            parts += [(n, [(m, -c * s) for m, c in q.terms.items()])
+                      for n, q in quotients]
+            pending = [n for n, _ in parts if id(n) not in self._reps]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            self._reps[id(node)] = self._combine(
+                parts, {origin: {(0,) * self.ring.nvars: s}} if leaf else {})
+
+    def _dense(self, rep):
+        return [Poly(self.ring, rep.get(i, ()))
+                for i in range(len(self.input_gens))]
+
+    @property
+    def reps(self):
+        self._lift(self._nodes)
+        return [self._dense(self._reps[id(n)]) for n in self._nodes]
 
     def normal_form(self, p: Poly):
         return reduce_full(p, self.elements, Budget(self.budget_limit))
@@ -277,25 +291,22 @@ class GroebnerBasis:
         quotients, remainder = self.normal_form(p)
         if not remainder.is_zero():
             return None
-        total = [self.ring.zero() for _ in self.input_gens]
-        for q, rep in zip(quotients, self.reps):
-            if q.is_zero():
-                continue
-            for i, r in enumerate(rep):
-                if not r.is_zero():
-                    total[i] = total[i] + q * r
-        return total
+        used = [(n, q.terms.items())
+                for n, q in _traced(self._nodes, quotients)]
+        self._lift([n for n, _ in used])
+        return self._dense(self._combine(used, {}))
 
 
 def buchberger(gens, ring: PolyRing, budget: Budget | None = None
                ) -> GroebnerBasis:
-    """Reduced Groebner basis of <gens> with cofactor tracking.
+    """Reduced Groebner basis of <gens>, with a reduction trace.
 
     Each nonzero input, reduced against the inputs before it, enters the
     basis; then S-pairs are reduced, smallest lcm first, and every nonzero
-    remainder enters too.  Pairs wait in a heap keyed by (order key of
-    lcm, i, j), where i > j are basis positions.  When an element h enters,
-    the Gebauer-Moeller update prunes the pairs:
+    remainder enters too, recording a trace node of how it arose.  Pairs wait
+    in a heap keyed by (order key of lcm, i, j), where i > j are basis
+    positions.  When an element h enters, the Gebauer-Moeller update prunes
+    the pairs:
 
     - B_k: an old pair (i, j) is dropped if lm(h) divides its lcm and
       lcm(i, h), lcm(j, h) both differ from it;
@@ -309,22 +320,18 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
     """
     budget = budget or Budget()
     key = ring.order.key
-    tracked = []
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        rep = [ring.zero() for _ in gens]
-        rep[i] = ring.const(Fraction(1))
-        tracked.append(TrackedPoly(g, rep))
-    if not tracked:
-        return GroebnerBasis(ring, gens, [], [], budget)
-
-    basis, leads = [], []
+    basis, nodes, leads = [], [], []
     heap = []   # (order key of lcm, i, j)
     live = {}   # (i, j) -> lcm, for the pairs not dropped yet
 
-    def enter(tp):
-        h, mh = len(basis), tp.poly.lead()[0]
+    def reduce_and_enter(poly, origin):
+        quotients = ()
+        if basis:
+            qs, poly = reduce_full(poly, basis, budget)
+            quotients = _traced(nodes, qs)
+        if poly.is_zero():
+            return
+        h, mh = len(basis), poly.lead()[0]
         for (i, j), lcm in list(live.items()):  # B_k
             if (mono_divides(mh, lcm) and mono_lcm(leads[i], mh) != lcm
                     and mono_lcm(leads[j], mh) != lcm):
@@ -340,13 +347,13 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
                 continue  # F with the product criterion
             live[h, ks[0]] = lcm
             heapq.heappush(heap, (key(lcm), h, ks[0]))
-        basis.append(tp)
+        basis.append(poly)
+        nodes.append((origin, quotients, Fraction(1)))
         leads.append(mh)
 
-    for tp in tracked:
-        reduced = _reduce_tracked(tp, basis, budget) if basis else tp
-        if not reduced.poly.is_zero():
-            enter(reduced)
+    for i, g in enumerate(gens):
+        if not g.is_zero():
+            reduce_and_enter(g, i)
 
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -354,43 +361,45 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
         if lcm is None:
             continue
         fi, fj = basis[i], basis[j]
-        ci, cj = fi.poly.lead()[1], fj.poly.lead()[1]
+        mi, mj = mono_div(lcm, leads[i]), mono_div(lcm, leads[j])
+        c = fi.lead()[1] / fj.lead()[1]
         budget.spend()
-        spair = fi.combine(fj, mono_div(lcm, leads[i]), Fraction(1),
-                           mono_div(lcm, leads[j]), ci / cj)
-        reduced = _reduce_tracked(spair, basis, budget)
-        if not reduced.poly.is_zero():
-            enter(reduced)
+        reduce_and_enter(fi.mul_term(mi, Fraction(1)) - fj.mul_term(mj, c),
+                         ((nodes[i], mi, Fraction(1)), (nodes[j], mj, -c)))
 
-    return _interreduce(basis, ring, gens, budget)
+    return _interreduce(list(zip(basis, nodes)), ring, gens, budget)
 
 
 def _interreduce(basis, ring, gens, budget: Budget) -> GroebnerBasis:
     key = ring.order.key
+    unit = (0,) * ring.nvars
     # Minimalize: drop any element whose leading monomial is divisible by
     # the leading monomial of an earlier (smaller) survivor.
-    basis = sorted(basis, key=lambda tp: key(tp.poly.lead()[0]))
+    basis.sort(key=lambda pn: key(pn[0].lead()[0]))
     kept = []
-    for tp in basis:
-        lm = tp.poly.lead()[0]
-        if not any(mono_divides(s.poly.lead()[0], lm) for s in kept):
-            kept.append(tp)
-    # Reduce every element's tail against the others.  No leading monomial
-    # divides another and reduction never changes one, so a single pass
-    # leaves every tail reduced and no element zero.
-    if len(kept) > 1:
-        for i in range(len(kept)):
-            kept[i] = _reduce_tracked(kept[i], kept[:i] + kept[i + 1:],
-                                      budget)
-    # Monic normalization and canonical element order.
+    for poly, node in basis:
+        lm = poly.lead()[0]
+        if not any(mono_divides(s.lead()[0], lm) for s, _ in kept):
+            kept.append((poly, node))
+    # Reduce every element's tail against the others, then make it monic.
+    # No leading monomial divides another and reduction never changes one,
+    # so a single pass leaves every tail reduced and no element zero.  A
+    # reducer already made monic only rescales its quotient.
     final = []
-    for tp in kept:
-        inv = scalar_inv(tp.poly.lead()[1])
-        final.append(TrackedPoly(tp.poly.scale(inv),
-                                 [r * inv for r in tp.rep]))
-    final.sort(key=lambda tp: key(tp.poly.lead()[0]), reverse=True)
-    return GroebnerBasis(ring, gens, [tp.poly for tp in final],
-                         [tp.rep for tp in final], budget)
+    for i, (poly, node) in enumerate(kept):
+        others = final + kept[i + 1:]
+        quotients = ()
+        if others:
+            qs, poly = reduce_full(poly, [p for p, _ in others], budget)
+            quotients = _traced([n for _, n in others], qs)
+        inv = scalar_inv(poly.lead()[1])
+        if quotients or inv != 1:
+            poly, node = poly * inv, (((node, unit, Fraction(1)),),
+                                      quotients, inv)
+        final.append((poly, node))
+    final.sort(key=lambda pn: key(pn[0].lead()[0]), reverse=True)
+    return GroebnerBasis(ring, gens, [p for p, _ in final],
+                         [n for _, n in final], budget)
 
 
 def spolynomial(f: Poly, g: Poly) -> Poly:

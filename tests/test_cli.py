@@ -201,6 +201,31 @@ def test_exit_code_budget(capsys, ideal_file):
     assert code == 2 and "budget" in err
 
 
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_exit_code_budget_not_a_number(capsys, ideal_file):
+    path = ideal_file("I.txt", "X1")
+    code, err = _usage_error(capsys, "member", "--ideal", path, "X1",
+                             "--budget", "abc")
+    assert code == 3 and err.startswith("usage:") and "--budget" in err
+
+
+def test_exit_code_missing_positional(capsys):
+    code, err = _usage_error(capsys, "member")
+    assert code == 3 and err.startswith("usage:")
+
+
+def test_exit_code_negative_budget(capsys, ideal_file):
+    path = ideal_file("I.txt", "X1")
+    code, err = _usage_error(capsys, "member", "--ideal", path, "X1",
+                             "--budget", "-1")
+    assert code == 3 and "error:" in err and "exceeded" not in err
+
+
 def test_demo_deterministic(capsys):
     code1, out1, _ = run(capsys, "demo")
     code2, out2, _ = run(capsys, "demo")

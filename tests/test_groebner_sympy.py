@@ -5,6 +5,10 @@ elements `buchberger` returns must equal, as a set of monic polynomials,
 what `sympy.groebner(..., order="grevlex")` computes over the same variables
 in the same order.  sympy is only a test dependency: without it the module
 is skipped.
+
+On the same corpus, the representations lifted from each basis's reduction
+trace must re-expand to its elements, and on the presented ideals
+`IdealHandle.decide` must agree with `membership` without lifting anything.
 """
 
 import random
@@ -14,8 +18,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from expoly import IdealHandle, parse_epoly  # noqa: E402
-from expoly.polyring import Poly, PolyRing, buchberger  # noqa: E402
+from expoly import EPoly, IdealHandle, parse_epoly  # noqa: E402
+from expoly.polyring import (GroebnerBasis, Poly, PolyRing,  # noqa: E402
+                             buchberger)
 from expoly.scalars import GaussianRational  # noqa: E402
 
 from helpers import random_epoly  # noqa: E402
@@ -49,6 +54,11 @@ def _theirs(gens, ring):
 def _check(gens, ring):
     gb = buchberger(gens, ring)
     assert _ours(gb) == _theirs(gens, ring), [str(g) for g in gens]
+    for element, rep in zip(gb.elements, gb.reps):
+        expanded = ring.zero()
+        for r, g in zip(rep, gens):
+            expanded = expanded + r * g
+        assert expanded == element, [str(g) for g in gens]
 
 
 def _ring_polys(names, term_dicts):
@@ -85,11 +95,38 @@ def _presented(handle):
     return gb.input_gens, gb.ring
 
 
-def test_presented_reference_ideal():
+def _check_decide(handle, rng, monkeypatch):
+    """decide and intersect_subring lift no representation, and decide
+    agrees with membership on members and on random queries."""
+    lifted = []
+    lift = GroebnerBasis._lift
+
+    def spy(gb, nodes):
+        lifted.append(nodes)
+        lift(gb, nodes)
+
+    monkeypatch.setattr(GroebnerBasis, "_lift", spy)
+    n = handle.nvars
+    members = [sum((g * random_epoly(rng, n, max_terms=2)
+                    for g in handle.gens), EPoly.zero(n))
+               for _ in range(2)]
+    queries = members + [EPoly.const(n, 1)] + [
+        random_epoly(rng, n, height=handle.layer(), max_terms=2)
+        for _ in range(2)]
+    verdicts = [handle.decide(p) for p in queries]
+    handle.intersect_subring(0)
+    assert not lifted and not handle.groebner()._reps
+    assert verdicts[:2] == [True, True]
+    assert verdicts == [handle.membership(p).member for p in queries]
+    assert lifted
+
+
+def test_presented_reference_ideal(monkeypatch):
     texts = ["E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2",
              "X1*X2*X3-E(X1+X2)"]
     handle = IdealHandle([parse_epoly(t, 3) for t in texts])
     _check(*_presented(handle))
+    _check_decide(IdealHandle(handle.gens), random.Random(7), monkeypatch)
 
 
 # (variables, height, terms per generator, generators): exponential
@@ -98,14 +135,16 @@ def test_presented_reference_ideal():
 RANDOM_SHAPES = [(1, 1, 2, 2), (2, 1, 2, 2), (3, 0, 3, 4), (3, 0, 2, 4)]
 
 
-def test_presented_random_ideals():
-    rng = random.Random(2024)
+def test_presented_random_ideals(monkeypatch):
+    rng, samples = random.Random(2024), random.Random(7)
     for _ in range(5):
         for nvars, height, max_terms, count in RANDOM_SHAPES:
             gens = [random_epoly(rng, nvars, height=height,
                                  max_terms=max_terms, gaussian_ok=True)
                     for _ in range(count)]
             _check(*_presented(IdealHandle(gens, nvars=nvars)))
+            _check_decide(IdealHandle(gens, nvars=nvars), samples,
+                          monkeypatch)
 
 
 def test_random_binomial_ideals():

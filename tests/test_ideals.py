@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from expoly import (BudgetExceededError, EPoly, IdealHandle, IMAG_UNIT,
-                    PreconditionError, augmentation, augmentation_mod,
-                    parse_epoly, present)
+                    InternalError, PreconditionError, augmentation,
+                    augmentation_mod, parse_epoly, present)
 from expoly.polyring import spolynomial
 
 from helpers import random_epoly
@@ -162,6 +162,29 @@ class TestMembership:
             for c, g in zip(result.cofactors, handle.gens):
                 acc = acc + c * g
             assert acc == p
+
+    def test_perturbed_trace_quotient_fails_reexpansion(self):
+        # Cofactors are lifted lazily from the basis's reduction trace; a
+        # wrong recorded quotient must still be caught by the re-expansion
+        # check.  Query the basis element whose trace first records one.
+        handle = IdealHandle([P("X1*X2 + X2", 2), P("X2^2 - X1", 2)])
+        gb = handle.groebner()
+        for k, node in enumerate(gb._nodes):
+            stack = [node]
+            while stack:
+                origin, quotients, _ = stack.pop()
+                if quotients:
+                    break
+                if not isinstance(origin, int):
+                    stack.extend(n for n, _, _ in origin)
+            if quotients:
+                break
+        q = quotients[0][1]
+        mono = next(iter(q.terms))
+        q.terms[mono] += 1
+        element = handle.presentation().decode(gb.elements[k])
+        with pytest.raises(InternalError):
+            handle.membership(element)
 
 
 class TestOracleAgreement:
