@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (partiality, precondition violation),
-2 step budget exceeded, 3 I/O or syntax error (a usage error included),
-4 internal error (a failed consistency check such as a certificate that
-does not re-expand).  `--json` switches every subcommand to
+2 step budget exceeded (`--budget` counts every reduction step of the
+command), 3 I/O or syntax error (a usage error included), 4 internal error
+(a failed consistency check such as a certificate that does not
+re-expand).  `--json` switches every subcommand but `demo` to
 machine-readable output.
 """
 
@@ -37,8 +38,8 @@ def _parse_exprs(texts, nvars):
 
 
 def _load_ideal(args):
-    gens = parse_ideal_file(args.ideal, getattr(args, "vars", None))
-    nvars = gens[0].nvars if gens else (getattr(args, "vars", None) or 1)
+    gens = parse_ideal_file(args.ideal, args.vars)
+    nvars = gens[0].nvars if gens else (args.vars or 1)
     return IdealHandle(gens, nvars=nvars, budget_limit=args.budget)
 
 
@@ -397,11 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computation in exponential polynomial rings")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, vars_flag=True):
+    def common(p, budget=False, vars_flag=True):
+        """Add the shared options the subcommand reads (no --vars where the
+        expression count gives the arity)."""
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--budget", type=_step_budget, default=1_000_000,
-                       help="reduction step budget (default 10^6)")
+        if budget:
+            p.add_argument("--budget", type=_step_budget, default=1_000_000,
+                           help="reduction step budget of the whole command "
+                                "(default 10^6)")
         if vars_flag:
             p.add_argument("--vars", type=int, default=None,
                            help="variable count (default: inferred)")
@@ -435,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobian", help="determinant of the derivative matrix")
     p.add_argument("exprs", nargs="+")
-    common(p)
+    common(p, vars_flag=False)
     p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("khovanskii",
@@ -445,34 +450,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--at", required=True)
-    common(p)
+    common(p, vars_flag=False)
     p.set_defaults(func=cmd_khovanskii)
 
     p = sub.add_parser("member", help="ideal membership with cofactors")
     p.add_argument("expr")
     p.add_argument("--ideal", required=True,
                    help="file with one generator per line")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("intersect", help="intersection with a lower ring")
     p.add_argument("--ideal", required=True)
     p.add_argument("--layer", type=int, required=True)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("aug", help="augmentation image (and kernel test)")
     p.add_argument("expr")
     p.add_argument("--layer", type=int, default=1)
     p.add_argument("--ideal", default=None)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_aug)
 
     p = sub.add_parser("dagger",
                        help="exp-compatibility of the subring intersection")
     p.add_argument("--ideal", required=True)
     p.add_argument("--layer", type=int, default=None)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_dagger)
 
     p = sub.add_parser("extend", help="build tower levels above an ideal")
@@ -481,25 +486,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", default=None)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--out", default=None, help="write tower/1 JSON here")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("saturate",
                        help="close an R_1 ideal under f -> E(f)-1")
     p.add_argument("--ideal", required=True)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("rabinowitsch",
                        help="radical membership certificate pipeline")
     p.add_argument("--ideal", required=True)
     p.add_argument("--g", required=True)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_rabinowitsch)
 
     p = sub.add_parser("demo", help="deterministic worked examples")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_demo)
 
     return top

@@ -4,11 +4,13 @@ The free exponential ring is a group ring over the additive group of
 exponents; any finite computation only meets finitely many exponents, so an
 ideal is presented over a finite exponent lattice: a layer-adapted list of
 Q-independent directions b_1..b_m such that every encountered exponent is an
-integer combination.  Each direction becomes a unit u_i (with inverse v_i,
-relation u_i*v_i - 1) of an ordinary polynomial ring, where Groebner bases
-decide membership, cofactors certify it (lifted from the basis's reduction
-trace only when a certificate is printed), and block elimination computes
-subring intersections.
+integer combination.  One echelon and one Hermite normal form cover all
+layers: components of different layers share no coordinate, so each
+direction lies in a single layer.  Each direction becomes a unit u_i (with
+inverse v_i, relation u_i*v_i - 1) of an ordinary polynomial ring, where
+Groebner bases decide membership, cofactors certify it (lifted from the
+basis's reduction trace only when a certificate is printed), and block
+elimination computes subring intersections.
 
 Verdicts are relative to the lattice slice: queries whose exponents fall
 outside trigger a joint re-presentation with a refined primitive basis.
@@ -60,37 +62,17 @@ class LatticeDirection(NamedTuple):
     level: int       # layer of the group element t^epoly
 
 
-class _LayerLattice:
-    """Solving data for one exponent layer: span echelon plus HNF lattice."""
-
-    def __init__(self, echelon, denom, hermite, offset):
-        self.echelon = echelon
-        self.denom = denom
-        self.hermite = hermite
-        self.offset = offset  # index of this layer's first direction
-
-    def solve(self, component: EPoly):
-        """Integer coordinates of the component over this layer's directions,
-        or None when it falls outside the lattice slice."""
-        residual, coeffs = self.echelon.row_coords(_epoly_coords(component))
-        if residual:
-            return None
-        target = []
-        for j in range(self.echelon.dim):
-            scaled = coeffs[j] * self.denom
-            if scaled.denominator != 1:
-                return None
-            target.append(scaled.numerator)
-        return solve_upper_integer(self.hermite, target)
-
-
 class LaurentPresentation:
     """Finite encoding of a tower slice as a Laurent polynomial ring."""
 
-    def __init__(self, nvars: int, directions, layers):
+    def __init__(self, nvars: int, directions, echelon, denom, hermite):
         self.nvars = nvars
         self.directions = tuple(directions)
-        self._layers = layers  # {layer: _LayerLattice}
+        # The echelon spans the exponent components over Q; the HNF rows,
+        # in echelon coordinates scaled by denom, are the directions.
+        self._echelon = echelon
+        self._denom = denom
+        self._hermite = hermite
         names = [f"X{j + 1}" for j in range(nvars)]
         for i in range(len(self.directions)):
             names += [f"u{i + 1}", f"v{i + 1}"]
@@ -109,22 +91,16 @@ class LaurentPresentation:
 
     def exponent_coordinates(self, exponent: EPoly | None):
         """Integer coordinates over the directions, or None if not covered."""
-        coords = [0] * len(self.directions)
         if exponent is None:
-            return coords
-        for layer in range(exponent.height() + 1):
-            component = exponent.layer_component(layer)
-            if component.is_zero():
-                continue
-            lattice = self._layers.get(layer)
-            if lattice is None:
-                return None
-            solved = lattice.solve(component)
-            if solved is None:
-                return None
-            for j, value in enumerate(solved):
-                coords[lattice.offset + j] = value
-        return coords
+            return [0] * len(self.directions)
+        residual, coeffs = self._echelon.row_coords(_epoly_coords(exponent))
+        if residual:
+            return None
+        target = [value * self._denom for value in coeffs]
+        if any(value.denominator != 1 for value in target):
+            return None
+        return solve_upper_integer(self._hermite,
+                                   [value.numerator for value in target])
 
     def encode(self, p: EPoly) -> Poly | None:
         if p.nvars != self.nvars:
@@ -183,63 +159,50 @@ class LaurentPresentation:
 def present(ps, nvars: int | None = None) -> LaurentPresentation:
     """Minimal layer-adapted presentation covering every exponent in ps.
 
-    Deterministic for a fixed input order: exponent components are processed
-    layer by layer in canonical term order of first encounter.
+    Deterministic for a fixed input order: exponent components are taken
+    layer by layer, in order of first encounter within a layer.
     """
     ps = list(ps)
     if nvars is None:
         if not ps:
             raise ValueError("need values or an explicit variable count")
         nvars = ps[0].nvars
-    per_layer: dict[int, list[EPoly]] = {}
-    seen: dict[int, set] = {}
+    seen: dict[EPoly, None] = {}
     for p in ps:
         if p.nvars != nvars:
             raise VariableCountError("mixed variable counts in presentation")
         for (_, exponent), _c in p.terms:
-            if exponent is None:
-                continue
-            for layer in range(exponent.height() + 1):
-                component = exponent.layer_component(layer)
-                if component.is_zero():
-                    continue
-                bucket = seen.setdefault(layer, set())
-                if component not in bucket:
-                    bucket.add(component)
-                    per_layer.setdefault(layer, []).append(component)
+            if exponent is not None:
+                for component in exponent.layer_decompose():
+                    if component:
+                        seen[component] = None
+    components = sorted(seen, key=EPoly.height)
 
+    echelon = RationalEchelon(coord_order=_coord_key)
+    for component in components:
+        echelon.insert(_epoly_coords(component))
+    coord_rows = []
+    for component in components:
+        residual, row = echelon.row_coords(_epoly_coords(component))
+        if residual:
+            raise InternalError(
+                "internal error: a presented exponent component lies "
+                "outside the span of the components")
+        coord_rows.append(row)
+    denom = math.lcm(1, *(value.denominator for row in coord_rows
+                          for value in row))
+    hermite = lattice_basis([[int(value * denom) for value in row]
+                             for row in coord_rows])
     directions = []
-    layers = {}
-    for layer in sorted(per_layer):
-        components = per_layer[layer]
-        echelon = RationalEchelon(coord_order=_coord_key)
-        for component in components:
-            echelon.insert(_epoly_coords(component))
-        coord_rows = []
-        denom = 1
-        for component in components:
-            residual, coeffs = echelon.row_coords(_epoly_coords(component))
-            if residual:
-                raise InternalError(
-                    "internal error: a presented exponent component lies "
-                    "outside the span of its own layer")
-            row = [coeffs[j] for j in range(echelon.dim)]
-            denom = math.lcm(denom, *(value.denominator for value in row))
-            coord_rows.append(row)
-        int_rows = [[int(value * denom) for value in row]
-                    for row in coord_rows]
-        hermite = lattice_basis(int_rows)
-        offset = len(directions)
-        for hrow in hermite:
-            coords: dict = {}
-            for j, entry in enumerate(hrow):
-                if entry:
-                    coords = vec_add(coords, echelon.rows[j],
-                                     Fraction(entry, denom))
-            directions.append(
-                LatticeDirection(_coords_epoly(coords, nvars), layer + 1))
-        layers[layer] = _LayerLattice(echelon, denom, hermite, offset)
-    return LaurentPresentation(nvars, directions, layers)
+    for hrow in hermite:
+        coords: dict = {}
+        for j, entry in enumerate(hrow):
+            if entry:
+                coords = vec_add(coords, echelon.rows[j],
+                                 Fraction(entry, denom))
+        epoly = _coords_epoly(coords, nvars)
+        directions.append(LatticeDirection(epoly, epoly.height() + 1))
+    return LaurentPresentation(nvars, directions, echelon, denom, hermite)
 
 
 class MembershipResult(NamedTuple):
@@ -252,6 +215,8 @@ class IdealHandle:
 
     The presentation refines monotonically as queries arrive (single-writer
     discipline); all answers are deterministic given the query history.
+    A handle and every handle made from it (subring intersections,
+    saturation work handles) spend one step budget over their lifetime.
     """
 
     def __init__(self, gens, nvars: int | None = None,
@@ -266,7 +231,7 @@ class IdealHandle:
                 raise VariableCountError("mixed variable counts in ideal")
         self.gens = gens
         self.nvars = nvars
-        self.budget_limit = budget_limit
+        self._budget = Budget(budget_limit)
         self._cover: list[EPoly] = []
         self._pres: LaurentPresentation | None = None
         self._gb = None
@@ -300,8 +265,7 @@ class IdealHandle:
         variables under some monomial order)."""
         encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
         relations = [Poly(ring, rel.terms) for rel in pres.relations()]
-        return buchberger(encoded + relations, ring,
-                          Budget(self.budget_limit))
+        return buchberger(encoded + relations, ring, self._budget)
 
     def _presented(self, p: EPoly):
         if p.nvars != self.nvars:
@@ -332,22 +296,23 @@ class IdealHandle:
         if level < 0:
             # R_{-1} is the base field: proper ideals meet it in {0}.
             if self.is_proper():
-                return IdealHandle((), nvars=self.nvars,
-                                   budget_limit=self.budget_limit)
-            return IdealHandle((EPoly.const(self.nvars, 1),),
-                               budget_limit=self.budget_limit)
+                return self._sharing(())
+            return self._sharing((EPoly.const(self.nvars, 1),))
         pres = self.presentation()
         eliminated = pres.eliminated_var_indices(level)
         if not eliminated:
-            return IdealHandle(self.gens, nvars=self.nvars,
-                               budget_limit=self.budget_limit)
+            return self._sharing(self.gens)
         gb = self._basis(pres, pres.ring.with_order(
             MonomialOrder(pres.ring.nvars, block=tuple(eliminated))))
         kept = [e for e in gb.elements if not e.uses_vars(eliminated)]
         gens = tuple(pres.decode(Poly(pres.ring, e.terms)) for e in kept)
-        gens = tuple(g for g in gens if not g.is_zero())
-        return IdealHandle(gens, nvars=self.nvars,
-                           budget_limit=self.budget_limit)
+        return self._sharing(g for g in gens if not g.is_zero())
+
+    def _sharing(self, gens) -> "IdealHandle":
+        """A handle on other generators that spends this handle's budget."""
+        handle = IdealHandle(gens, nvars=self.nvars)
+        handle._budget = self._budget
+        return handle
 
     def is_proper(self) -> bool:
         return not self.decide(EPoly.const(self.nvars, 1))

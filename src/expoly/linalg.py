@@ -46,20 +46,17 @@ class RationalEchelon:
 
     def reduce(self, vec: dict):
         """Return (residual, coeffs) with vec = residual + coeffs . inserted."""
+        residual, row_coeffs = self.row_coords(vec)
         coeffs = {}
-        vec = dict(vec)
-        for i, row in enumerate(self.rows):
-            pivot = self.pivots[i]
-            c = vec.get(pivot)
+        for c, expr in zip(row_coeffs, self.expr):
             if c:
-                vec = vec_add(vec, row, -c)
-                coeffs = vec_add(coeffs, self.expr[i], c)
-        return vec, coeffs
+                coeffs = vec_add(coeffs, expr, c)
+        return residual, coeffs
 
     def row_coords(self, vec: dict):
         """Return (residual, coeffs) with vec = residual + sum c_i * rows[i];
         coeffs is a list indexed by echelon row."""
-        coeffs = [Fraction(0)] * len(self.rows)
+        coeffs = [0] * len(self.rows)
         vec = dict(vec)
         for i, row in enumerate(self.rows):
             c = vec.get(self.pivots[i])

@@ -230,8 +230,7 @@ class GroebnerBasis:
     input index or (node, monomial, coefficient) terms.  The representation
     elements[k] == sum_i reps[k][i] * input_gens[i] is lifted on demand and
     memoized, and `cofactors` lifts only the elements its quotients use.
-    Each normal-form call gets a fresh step budget with the limit the basis
-    was built under.
+    Normal forms spend from the step budget the basis was built with.
     """
 
     def __init__(self, ring, input_gens, elements, nodes, budget: Budget):
@@ -240,7 +239,7 @@ class GroebnerBasis:
         self.elements = list(elements)
         self._nodes = list(nodes)
         self._reps = {}  # id(node) -> {input index: nonzero term dict}
-        self.budget_limit = budget.limit
+        self._budget = budget
 
     def _combine(self, parts, acc):
         """Fold terms * rep(node) over (node, terms) parts into acc, a
@@ -284,7 +283,7 @@ class GroebnerBasis:
         return [self._dense(self._reps[id(n)]) for n in self._nodes]
 
     def normal_form(self, p: Poly):
-        return reduce_full(p, self.elements, Budget(self.budget_limit))
+        return reduce_full(p, self.elements, self._budget)
 
     def cofactors(self, p: Poly):
         """None if p is not in the ideal, else exact cofactors over inputs."""

@@ -44,10 +44,11 @@ class CertificateResult:
                    default=0)
 
 
-def one_certificate(hs, g: EPoly, budget_limit: int | None = 1_000_000
+def one_certificate(hs, g: EPoly, budget: Budget | None = None
                     ) -> CertificateResult:
     """Search for 1 = sum t_i*h_i + (1 - Y*g)*r over the current lattice
-    slice; cofactors of a found certificate are verified by expansion."""
+    slice; cofactors of a found certificate are verified by expansion.
+    Reduction steps spend from `budget`, as in `buchberger`."""
     hs = list(hs)
     nvars = g.nvars
     for h in hs:
@@ -63,7 +64,7 @@ def one_certificate(hs, g: EPoly, budget_limit: int | None = 1_000_000
                     - ring.var(ring.nvars - 1) * with_y(pres.encode(g)))
     gens = [with_y(pres.encode(h)) for h in hs] + [one_minus_yg]
     gb = buchberger(gens + [with_y(rel) for rel in pres.relations()], ring,
-                    Budget(budget_limit))
+                    budget)
     cof = gb.cofactors(ring.const(Fraction(1)))
     if cof is None:
         return CertificateResult(found=False, lattice=pres.describe())
@@ -184,7 +185,7 @@ def nullstellensatz_pipeline(hs, g: EPoly,
     ideal = IdealHandle(hs, nvars=g.nvars, budget_limit=budget_limit)
     layer = max([h.height() for h in hs] + [g.height()])
     dagger = dagger_check(ideal, layer)
-    cert = one_certificate(hs, g, budget_limit=budget_limit)
+    cert = one_certificate(hs, g, ideal._budget)
     power = extract_power(cert, hs, g) if cert.found else None
     return PipelineReport(dagger=dagger, certificate=cert, power=power,
                           hs=hs, g=g)

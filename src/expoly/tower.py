@@ -80,7 +80,7 @@ class TrackedDecomposition:
         return a1, fhat, fhat_lower
 
     def in_span(self, a: EPoly) -> bool:
-        residual, _ = self._echelon.reduce(_epoly_coords(a))
+        residual, _ = self._echelon.row_coords(_epoly_coords(a))
         return not residual
 
 
@@ -375,8 +375,7 @@ def saturate_level_one(ideal: IdealHandle, max_rounds: int = 64
     if not ideal.is_proper():
         raise PreconditionError("saturation requires a proper ideal")
     nvars = ideal.nvars
-    work = IdealHandle(ideal.gens, nvars=nvars,
-                       budget_limit=ideal.budget_limit)
+    work = ideal._sharing(ideal.gens)
     added: list[EPoly] = []
     for round_no in range(1, max_rounds + 1):
         one = work.membership(EPoly.const(nvars, 1))
@@ -404,8 +403,7 @@ def saturate_level_one(ideal: IdealHandle, max_rounds: int = 64
                 added=tuple(added), rounds=round_no, ideal=work,
                 dagger=dagger_check(work, 1))
         added.extend(fresh)
-        work = IdealHandle(work.gens + tuple(fresh), nvars=nvars,
-                           budget_limit=ideal.budget_limit)
+        work = ideal._sharing(work.gens + tuple(fresh))
     raise PreconditionError(
         f"saturation did not settle within {max_rounds} rounds")
 

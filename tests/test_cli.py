@@ -226,6 +226,40 @@ def test_exit_code_negative_budget(capsys, ideal_file):
     assert code == 3 and "error:" in err and "exceeded" not in err
 
 
+REFERENCE_IDEAL = ("E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2",
+                   "X1*X2*X3-E(X1+X2)")
+
+
+# Each command spends these steps in all, over several Groebner runs and
+# normal forms; no single run or normal form spends more than 251 of them.
+@pytest.mark.parametrize("steps, argv", [
+    (225, ["member", "X1*X2*X3-E(X1+X2)"]),
+    (387, ["extend", "--levels", "1", "--query", "E(X1*X2*X3-E(X1+X2))-1"]),
+    (754, ["saturate"]),
+    (411, ["rabinowitsch", "--g", "X1"]),
+], ids=["member", "extend", "saturate", "rabinowitsch"])
+def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):
+    path = ideal_file("I.txt", *REFERENCE_IDEAL)
+    code, _, err = run(capsys, *argv, "--ideal", path,
+                       "--budget", str(steps - 1))
+    assert code == 2 and f"step budget of {steps - 1} exceeded" in err
+    code, _, _ = run(capsys, *argv, "--ideal", path, "--budget", str(steps))
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "--budget", "5", "X1"],
+    ["eval", "--budget", "5", "E(X1)", "--at", "0"],
+    ["jacobian", "--vars", "1", "E(X1)-1"],
+    ["khovanskii", "--budget", "5", "E(X1)-1", "--at", "0"],
+    ["demo", "--json"],
+    ["demo", "--vars", "1"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_unread_option_is_a_usage_error(capsys, argv):
+    code, err = _usage_error(capsys, *argv)
+    assert code == 3 and err.startswith("usage:")
+
+
 def test_demo_deterministic(capsys):
     code1, out1, _ = run(capsys, "demo")
     code2, out2, _ = run(capsys, "demo")

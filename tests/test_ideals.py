@@ -123,7 +123,8 @@ class TestGroebner:
         # Each query refines the lattice of <E(X1)-1>, up to X1/60 at k = 5,
         # and reruns Buchberger on u^60 - 1 and the unit relation.  With the
         # pair criteria the k = 5 rerun takes 93 steps; with the coprime
-        # criterion alone it took 5,458.
+        # criterion alone it took 5,458.  The limit bounds the handle's
+        # one budget, which the whole stream spends: 131 steps.
         handle = IdealHandle([X.exp() - 1], budget_limit=2000)
         for k in (2, 3, 4, 5):
             assert not handle.membership(P(f"E(1/{k}*X1) - 1")).member

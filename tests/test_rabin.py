@@ -5,6 +5,7 @@ import pytest
 from expoly import (EPoly, IMAG_UNIT, InternalError, extract_power,
                     nullstellensatz_pipeline, one_certificate, parse_epoly)
 from expoly import rabin
+from expoly.errors import Budget
 
 from helpers import random_epoly
 
@@ -137,7 +138,7 @@ def test_certificate_re_expands_with_y_as_a_variable(hs, g):
     # Independent of the per-degree check: print every slice, parse it in
     # n + 1 variables with Y = X_{n+1} and expand the whole identity there.
     n = g.nvars
-    cert = one_certificate(hs, g, budget_limit=100_000)
+    cert = one_certificate(hs, g, Budget(100_000))
     assert cert.found
     # Slices that decode to zero (u*v - 1 multiples) are dropped.
     assert all(all(s.coeffs.values()) for s in (*cert.t, cert.r))
