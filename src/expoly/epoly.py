@@ -35,6 +35,7 @@ an exponent in `tower.rewrite`).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import PartialityError, PreconditionError, VariableCountError
 from .ordinals import OrdinalCNF
@@ -188,7 +189,7 @@ class EPoly:
         if other is None:
             return NotImplemented
         return EPoly(self.nvars,
-                     (((tuple(x + y for x, y in zip(ma, mb)),
+                     (((tuple(map(add, ma, mb)),
                         _exp_add(ea, eb)), ca * cb)
                       for (ma, ea), ca in self._terms
                       for (mb, eb), cb in other._terms))

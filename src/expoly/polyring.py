@@ -20,12 +20,22 @@ coprime leading monomials by the product criterion.  See `buchberger`.
 Term dicts map monomials to nonzero coefficients.  Every sum, product and
 division step folds its (monomial, coefficient) pairs through
 `sparse.accumulate`, so equal monomials add up and cancelled terms vanish.
+
+Monomials are tuples of exponents, and the monomial helpers work on them
+with `map` over `operator` functions.  `MonomialOrder.key` is one flat
+tuple of ints.  Division (`reduce_full`) takes the largest remaining term
+from a heap of negated keys (Monagan and Pearce, CASC 2007), and skips a
+reducer whose leading monomial has a variable outside the term's support
+before testing divisibility (the "short exponent vector" of Bachmann and
+Schoenemann, ISSAC 1998).
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import add, le, neg, sub
 
 from .errors import Budget
 from .scalars import scalar_inv
@@ -43,15 +53,20 @@ class MonomialOrder:
         self.block = tuple(sorted(block))
         blocked = set(self.block)
         self.rest = tuple(i for i in range(nvars) if i not in blocked)
+        self._front = self.block[::-1]
+        self._back = self.rest[::-1]
 
     def key(self, mono):
+        """One flat tuple of ints, larger for a larger monomial: the degree
+        and then the negated exponents from the last variable down, and
+        for an elimination order that block for the block variables
+        followed by the one for the others.  Each block has a fixed length,
+        so comparing flat keys compares the blocks in turn."""
         if not self.block:
-            return (sum(mono), tuple(-mono[i]
-                                     for i in range(self.nvars - 1, -1, -1)))
-        front = tuple(mono[i] for i in self.block)
-        back = tuple(mono[i] for i in self.rest)
-        return ((sum(front), tuple(-e for e in reversed(front))),
-                (sum(back), tuple(-e for e in reversed(back))))
+            return (sum(mono), *map(neg, reversed(mono)))
+        front = [mono[i] for i in self._front]
+        back = [mono[i] for i in self._back]
+        return (sum(front), *map(neg, front), sum(back), *map(neg, back))
 
     def descriptor(self) -> str:
         if not self.block:
@@ -67,19 +82,19 @@ class MonomialOrder:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class PolyRing:
@@ -152,10 +167,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def mul_term(self, mono, coeff) -> "Poly":
-        return Poly(self.ring, {mono_mul(m, mono): c * coeff
-                                for m, c in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
@@ -191,26 +202,47 @@ def reduce_full(p: Poly, reducers, budget: Budget):
     Returns (quotients, remainder) with p = sum q_i * reducers_i + remainder
     and no remainder term divisible by any leading monomial.  Reducer choice
     is by list position, so the outcome is deterministic.
+
+    The work set is a dict of terms plus a heap of (negated order key,
+    monomial) entries, so the largest remaining monomial is popped instead
+    of searched for.  A monomial is pushed when it enters the dict; since
+    monomials only fall, a popped monomial no longer in the dict (it
+    cancelled) is skipped.  Each reducer's leading monomial has a support
+    mask, and a reducer whose mask is not inside the term's is skipped
+    before the full divisibility test.
     """
     ring = p.ring
     key = ring.order.key
+    bits = [1 << i for i in range(ring.nvars)]  # support mask of a monomial
     quotients = [{} for _ in reducers]  # m only falls: no key repeats
     remainder = {}
     work = dict(p.terms)
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
     leads = [r.lead() for r in reducers]
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, red in enumerate(reducers):
+    masks = [sum(compress(bits, lm)) for lm, _ in leads]
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        mask = sum(compress(bits, m))
+        for i, lmask in enumerate(masks):
+            if lmask & ~mask:
+                continue
             lm, lc = leads[i]
             if mono_divides(lm, m):
                 budget.spend()
                 qm = mono_div(m, lm)
                 qc = c / lc
                 quotients[i][qm] = qc
-                accumulate(((mono_mul(rm, qm), -rc * qc)
-                            for rm, rc in red.terms.items() if rm != lm),
-                           into=work)
+                qc_neg = -qc
+                shifted = [(mono_mul(rm, qm), rc * qc_neg)
+                           for rm, rc in reducers[i].terms.items() if rm != lm]
+                for sm, _ in shifted:
+                    if sm not in work:
+                        heappush(heap, (tuple(map(neg, key(sm))), sm))
+                accumulate(shifted, into=work)
                 break
         else:
             remainder[m] = c
@@ -302,10 +334,11 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
 
     Each nonzero input, reduced against the inputs before it, enters the
     basis; then S-pairs are reduced, smallest lcm first, and every nonzero
-    remainder enters too, recording a trace node of how it arose.  Pairs wait
-    in a heap keyed by (order key of lcm, i, j), where i > j are basis
-    positions.  When an element h enters, the Gebauer-Moeller update prunes
-    the pairs:
+    remainder enters too, recording a trace node of how it arose.  An
+    S-polynomial is built as one Poly from the two shifted term lists.
+    Pairs wait in a heap keyed by (order key of lcm, i, j), where i > j are
+    basis positions.  When an element h enters, the Gebauer-Moeller update
+    prunes the pairs:
 
     - B_k: an old pair (i, j) is dropped if lm(h) divides its lcm and
       lcm(i, h), lcm(j, h) both differ from it;
@@ -345,7 +378,7 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
             if any(mono_mul(mh, leads[k]) == lcm for k in ks):
                 continue  # F with the product criterion
             live[h, ks[0]] = lcm
-            heapq.heappush(heap, (key(lcm), h, ks[0]))
+            heappush(heap, (key(lcm), h, ks[0]))
         basis.append(poly)
         nodes.append((origin, quotients, Fraction(1)))
         leads.append(mh)
@@ -355,7 +388,7 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
             reduce_and_enter(g, i)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j = heappop(heap)
         lcm = live.pop((i, j), None)
         if lcm is None:
             continue
@@ -363,7 +396,7 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
         mi, mj = mono_div(lcm, leads[i]), mono_div(lcm, leads[j])
         c = fi.lead()[1] / fj.lead()[1]
         budget.spend()
-        reduce_and_enter(fi.mul_term(mi, Fraction(1)) - fj.mul_term(mj, c),
+        reduce_and_enter(_spoly(fi, mi, fj, mj, c),
                          ((nodes[i], mi, Fraction(1)), (nodes[j], mj, -c)))
 
     return _interreduce(list(zip(basis, nodes)), ring, gens, budget)
@@ -401,9 +434,17 @@ def _interreduce(basis, ring, gens, budget: Budget) -> GroebnerBasis:
                          [n for _, n in final], budget)
 
 
+def _spoly(f: Poly, mf, g: Poly, mg, c) -> Poly:
+    """f * mf - c * g * mg, built as one Poly from both shifted term lists
+    (mf, mg are monomials)."""
+    c_neg = -c
+    return Poly(f.ring, [*((mono_mul(m, mf), a) for m, a in f.terms.items()),
+                         *((mono_mul(m, mg), a * c_neg)
+                           for m, a in g.terms.items())])
+
+
 def spolynomial(f: Poly, g: Poly) -> Poly:
     mf, cf = f.lead()
     mg, cg = g.lead()
     lcm = mono_lcm(mf, mg)
-    return (f.mul_term(mono_div(lcm, mf), Fraction(1))
-            - g.mul_term(mono_div(lcm, mg), cf / cg))
+    return _spoly(f, mono_div(lcm, mf), g, mono_div(lcm, mg), cf / cg)

@@ -5,6 +5,11 @@ Scalars are either `fractions.Fraction` (the field Q) or `GaussianRational`
 constructed: all arithmetic routes through `gaussian()`, which collapses such
 values back to Fraction.  This keeps representations unique, so `==` on
 scalars is exactly equality of values and dict/set keys behave canonically.
+
+The parts of a Gaussian rational are always Fractions.  The constructor,
+`gaussian`, `scalar_re` and `scalar_im` pass an argument that already is a
+`Fraction` through as it is and convert only other values (ints), so
+arithmetic does not re-wrap its Fraction results.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from fractions import Fraction
 from .errors import ParseError, PartialityError
 
 Rational = Fraction
+_ZERO = Fraction(0)  # shared: Fractions are immutable
 
 
 class GaussianRational:
@@ -22,8 +28,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -94,15 +100,14 @@ def _lift(x):
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (Fraction, int)):
-        return GaussianRational(x, 0)
+        return GaussianRational(x, _ZERO)
     return None
 
 
 def gaussian(re, im) -> Fraction | GaussianRational:
     """Canonical element of Q(i): collapses to Fraction when im == 0."""
-    im = Fraction(im)
-    if im == 0:
-        return Fraction(re)
+    if not im:
+        return re if type(re) is Fraction else Fraction(re)
     return GaussianRational(re, im)
 
 
@@ -118,11 +123,13 @@ def as_scalar(x) -> Fraction | GaussianRational:
 
 
 def scalar_re(c) -> Fraction:
+    if type(c) is Fraction:
+        return c
     return c.re if isinstance(c, GaussianRational) else Fraction(c)
 
 
 def scalar_im(c) -> Fraction:
-    return c.im if isinstance(c, GaussianRational) else Fraction(0)
+    return c.im if isinstance(c, GaussianRational) else _ZERO
 
 
 def scalar_inv(c):

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from expoly import (GAUSSIAN_RATIONALS, GaussianRational, IMAG_UNIT,
-                    PartialityError, RATIONALS, gaussian)
-from expoly.scalars import (format_scalar, parse_scalar, scalar_inv,
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from expoly import (GAUSSIAN_RATIONALS, GaussianRational,  # noqa: E402
+                    IMAG_UNIT, PartialityError, RATIONALS, gaussian)
+from expoly.scalars import (format_scalar, parse_scalar,  # noqa: E402
+                            scalar_im, scalar_inv, scalar_re,
                             scalar_sort_key)
 
 
@@ -77,3 +81,81 @@ def test_sort_key_is_total():
     values = [GAUSSIAN_RATIONALS.sample(rng) for _ in range(50)]
     ordered = sorted(values, key=scalar_sort_key)
     assert sorted(ordered, key=scalar_sort_key) == ordered
+
+
+# -- canonical results against a reference on (re, im) pairs --------------
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+_INTS = st.integers(-5, 5)
+_FRACTIONS = st.builds(Fraction, _INTS, st.integers(1, 4))
+_PARTS = st.one_of(_INTS, _FRACTIONS)
+
+
+@st.composite
+def _operand(draw, im_of=None):
+    """(value, (re, im)): an int, a Fraction or a Gaussian rational built
+    with int or Fraction parts, next to its parts as Fractions.  Given
+    `im_of`, the imaginary part is sometimes its negation, so that a sum
+    collapses to a rational."""
+    kind = draw(st.sampled_from(["int", "fraction", "gaussian", "parts"]))
+    if kind == "int":
+        x = draw(_INTS)
+        return x, (Fraction(x), Fraction(0))
+    if kind == "fraction":
+        x = draw(_FRACTIONS)
+        return x, (x, Fraction(0))
+    re = draw(_PARTS)
+    im = draw(_PARTS.filter(bool))
+    if im_of and draw(st.booleans()):
+        im = -im_of
+    value = (gaussian(re, im) if kind == "gaussian"
+             else GaussianRational(re, im))
+    return value, (Fraction(re), Fraction(im))
+
+
+def _ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_inv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+def _assert_canonical(value, ref):
+    parts = (scalar_re(value), scalar_im(value))
+    assert parts == ref and all(type(x) is Fraction for x in parts)
+    if type(value) is Fraction:
+        assert ref == (value, 0)
+    else:
+        assert type(value) is GaussianRational
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        assert value.im != 0
+        assert (value.re, value.im) == ref
+
+
+@PROPERTY
+@given(_operand().flatmap(lambda a: st.tuples(
+    st.just(a), _operand(im_of=a[1][1]))))
+def test_arithmetic_results_are_canonical(pair):
+    (a, ra), (b, rb) = pair
+    _assert_canonical(gaussian(*ra), ra)
+    if not isinstance(a, int):
+        _assert_canonical(a, ra)
+        _assert_canonical(-a, (-ra[0], -ra[1]))
+    if ra != (0, 0):
+        _assert_canonical(scalar_inv(a), _ref_inv(ra))
+    if isinstance(a, int) and isinstance(b, int):
+        return  # int op int is int arithmetic, which no scalar op does
+    _assert_canonical(a + b, (ra[0] + rb[0], ra[1] + rb[1]))
+    _assert_canonical(a - b, (ra[0] - rb[0], ra[1] - rb[1]))
+    _assert_canonical(a * b, _ref_mul(ra, rb))
+    if rb != (0, 0):
+        _assert_canonical(a / b, _ref_mul(ra, _ref_inv(rb)))
+
+
+def test_gaussian_parts_are_fractions():
+    z = GaussianRational(1, 2)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert type(gaussian(3, 0)) is Fraction
