@@ -385,11 +385,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _step_budget(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"step budget must be an integer >= 0, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, what: str):
+    """An argparse type for decimal integers >= low; anything else is a
+    usage error."""
+    def parse(text: str) -> int:
+        digits = text[1:] if text.startswith("-") else text
+        if not digits.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,11 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         if budget:
-            p.add_argument("--budget", type=_step_budget, default=1_000_000,
+            p.add_argument("--budget", type=_int_at_least(0, "step budget"),
+                           default=1_000_000,
                            help="reduction step budget of the whole command "
                                 "(default 10^6)")
         if vars_flag:
-            p.add_argument("--vars", type=int, default=None,
+            p.add_argument("--vars", type=_int_at_least(1, "variable count"),
+                           default=None,
                            help="variable count (default: inferred)")
 
     p = sub.add_parser("ord", help="ordinal complexity of a value")
@@ -482,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="build tower levels above an ideal")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--levels", type=int, default=1)
+    p.add_argument("--levels", type=_int_at_least(0, "level count"),
+                   default=1)
     p.add_argument("--query", default=None)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--out", default=None, help="write tower/1 JSON here")

@@ -28,8 +28,8 @@ up repeated keys, drops zero sums and sorts.  Operations whose result is
 canonical by construction skip both through the private `EPoly._canonical`:
 `zero`, negation, multiplication by a nonzero scalar (the term order ignores
 coefficients), `exp` (a single term), and filters of a value's sorted terms
-(`layer_component`, `layer_decompose`, and the layer-other-than-n part of
-an exponent in `tower.rewrite`).
+(`layer_component`, `layer_decompose`, and in `tower.rewrite` the
+layer-other-than-n part of an exponent and the t^0 group of a value).
 """
 
 from __future__ import annotations

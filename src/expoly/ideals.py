@@ -244,11 +244,14 @@ class IdealHandle:
         fresh = [p for p in also_cover
                  if self._pres is None or not self._pres.covers(p)]
         if self._pres is None or fresh:
-            self._cover.extend(fresh)
-            self._pres = present(list(self.gens) + self._cover,
-                                 nvars=self.nvars)
-            self._gb = None
+            self._refine(fresh)
         return self._pres
+
+    def _refine(self, fresh):
+        """Re-present over the generators, every earlier cover and fresh."""
+        self._cover.extend(fresh)
+        self._pres = present(list(self.gens) + self._cover, nvars=self.nvars)
+        self._gb = None
 
     def groebner(self):
         """Reduced Groebner basis of the presented ideal, graded
@@ -268,19 +271,25 @@ class IdealHandle:
         return buchberger(encoded + relations, ring, self._budget)
 
     def _presented(self, p: EPoly):
+        """(presentation, basis, encoding of p), refining the lattice first
+        when p falls outside it; p is encoded once when it is covered."""
         if p.nvars != self.nvars:
             raise VariableCountError("query arity mismatch")
-        return self.presentation(also_cover=(p,)), self.groebner()
+        encoded = None if self._pres is None else self._pres.encode(p)
+        if encoded is None:
+            self._refine([p])
+            encoded = self._pres.encode(p)
+        return self._pres, self.groebner(), encoded
 
     def decide(self, p: EPoly) -> bool:
         """Membership from the normal form alone: no cofactor is lifted."""
-        pres, gb = self._presented(p)
-        return gb.normal_form(pres.encode(p))[1].is_zero()
+        _, gb, encoded = self._presented(p)
+        return gb.normal_form(encoded)[1].is_zero()
 
     def membership(self, p: EPoly) -> MembershipResult:
         """The verdict with cofactors, checked by exact re-expansion."""
-        pres, gb = self._presented(p)
-        cof = gb.cofactors(pres.encode(p))
+        pres, gb, encoded = self._presented(p)
+        cof = gb.cofactors(encoded)
         if cof is None:
             return MembershipResult(False, None)
         cofactors = tuple(pres.decode(c) for c in cof[:len(self.gens)])

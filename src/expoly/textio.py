@@ -57,9 +57,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("num", int(text[i:j]), line, start_col))
             col += j - i
@@ -67,7 +67,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch == "X":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ParseError("expected digits after 'X'", line, start_col)

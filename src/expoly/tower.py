@@ -69,8 +69,14 @@ class TrackedDecomposition:
     def split(self, a: EPoly):
         """Decompose a pure layer-n exponent a = a0 + a1 with a0 in the
         tracked projection span; returns (a1, fhat, fhat_lower) where fhat
-        is the unique tracked-span ideal element with projection a0."""
+        is the unique tracked-span ideal element with projection a0.
+
+        a1 is reduced against every tracked pivot, so a nonzero a1 never
+        lies in the tracked span."""
         residual, coeffs = self._echelon.reduce(_epoly_coords(a))
+        if not coeffs:
+            zero = EPoly.zero(self.nvars)
+            return a, zero, zero
         a1 = _coords_epoly(residual, self.nvars)
         scaled = [(self.seeds[idx], lam) for idx, lam in coeffs.items()]
         fhat = EPoly(self.nvars, ((k, c * lam) for seed, lam in scaled
@@ -78,10 +84,6 @@ class TrackedDecomposition:
         fhat_lower = EPoly(self.nvars, ((k, c * lam) for seed, lam in scaled
                                         for k, c in seed.lower.terms))
         return a1, fhat, fhat_lower
-
-    def in_span(self, a: EPoly) -> bool:
-        residual, _ = self._echelon.row_coords(_epoly_coords(a))
-        return not residual
 
 
 def split_tilde(ideal: IdealHandle, layer: int, seeds
@@ -142,6 +144,11 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
 
     out = []
     zero = EPoly.zero(u.nvars)
+    if None in groups:
+        # The t^0 group keeps its terms of u unchanged and in u's order.
+        carrier = (u if len(groups) == 1
+                   else EPoly._canonical(u.nvars, tuple(groups[None])))
+        out.append(RewriteTerm(carrier, zero, zero))
     for key in sorted((k for k in groups if k is not None),
                       key=lambda k: k.sort_key):
         carrier = EPoly(u.nvars, groups[key])
@@ -149,12 +156,9 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
             continue
         a1, fhat, fhat_lower = dec.split(key)
         argument = fhat + a1
-        coefficient = carrier * (-fhat_lower).exp()
+        coefficient = (carrier * (-fhat_lower).exp() if fhat_lower
+                       else carrier)
         out.append(RewriteTerm(coefficient, argument, a1))
-    if None in groups:
-        carrier = EPoly(u.nvars, groups[None])
-        if not carrier.is_zero():
-            out.insert(0, RewriteTerm(carrier, zero, zero))
     arguments = [t.argument for t in out]
     if len(set(arguments)) != len(arguments):
         raise InternalError("internal error: rewrite produced repeated "
@@ -258,7 +262,7 @@ class TowerIdeal:
             refreshed = False
             for term in terms:
                 a1 = term.complement_part
-                if a1.is_zero() or dec.in_span(a1):
+                if a1.is_zero():
                     continue
                 # Lazy slice refresh: a complement direction that is itself
                 # an ideal element belongs in the tracked span.
@@ -269,8 +273,11 @@ class TowerIdeal:
                         break
             if not refreshed:
                 break
-        image = EPoly(p.nvars, (pair for term in terms
-                                for pair in term.coefficient.terms))
+        if len(terms) == 1:
+            image = terms[0].coefficient
+        else:
+            image = EPoly(p.nvars, (pair for term in terms
+                                    for pair in term.coefficient.terms))
         return self.membership(image, level - 1)
 
     def extend_one_step(self, seeds=None) -> "TowerIdeal":

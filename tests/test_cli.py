@@ -226,6 +226,55 @@ def test_exit_code_negative_budget(capsys, ideal_file):
     assert code == 3 and "error:" in err and "exceeded" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend", "--levels", "-3", "--query", "E(X1)-1"],
+    ["extend", "--levels", "two"],
+    ["member", "--vars", "0", "X1"],
+    ["member", "--vars", "-1", "X1"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_exit_code_count_out_of_range(capsys, ideal_file, argv):
+    """--levels below 0 and --vars below 1 are usage errors, like --budget."""
+    path = ideal_file("I.txt", "X1")
+    code, err = _usage_error(capsys, *argv, "--ideal", path)
+    assert code == 3 and err.startswith("usage:")
+    assert f"argument {argv[1]}:" in err and "out of range" not in err
+
+
+def test_smallest_counts_are_accepted(capsys, ideal_file):
+    path = ideal_file("I.txt", "X1")
+    code, out, _ = run(capsys, "extend", "--ideal", path, "--levels", "0",
+                       "--query", "X1", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["top_level"] == 0 and doc["member"] is True
+    code, out, _ = run(capsys, "member", "--ideal", path, "--vars", "1",
+                       "X1")
+    assert code == 0 and out.splitlines()[0] == "true"
+
+
+@pytest.mark.parametrize("query", ["X1^\u00b2", "\u00b2*X1", "X\u00b9"])
+def test_superscript_digit_in_expression_is_a_syntax_error(capsys,
+                                                           ideal_file, query):
+    path = ideal_file("I.txt", "X1")
+    code, out, err = run(capsys, "member", "--ideal", path, query)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["X\u00b2", "X1^\u00b3 - 1"])
+def test_superscript_digit_in_ideal_file_is_a_syntax_error(capsys,
+                                                           ideal_file, line):
+    """The variable count is inferred from the file before parsing it."""
+    path = ideal_file("I.txt", line)
+    code, out, err = run(capsys, "member", "--ideal", path, "X1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_decimal_digits_of_any_script_still_parse():
+    """Digits are the characters int() accepts: Arabic-Indic two is 2."""
+    assert parse_epoly("X1^\u0662 + \u0663", 1) == parse_epoly("X1^2 + 3", 1)
+
+
 REFERENCE_IDEAL = ("E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2",
                    "X1*X2*X3-E(X1+X2)")
 

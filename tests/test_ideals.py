@@ -6,6 +6,7 @@ import pytest
 from expoly import (BudgetExceededError, EPoly, IdealHandle, IMAG_UNIT,
                     InternalError, PreconditionError, augmentation,
                     augmentation_mod, parse_epoly, present)
+from expoly.ideals import LaurentPresentation
 from expoly.polyring import spolynomial
 
 from helpers import random_epoly
@@ -163,6 +164,36 @@ class TestMembership:
             for c, g in zip(result.cofactors, handle.gens):
                 acc = acc + c * g
             assert acc == p
+
+    @pytest.mark.parametrize("verdict", ["decide", "membership"])
+    def test_covered_query_is_encoded_once(self, monkeypatch, verdict):
+        handle = IdealHandle([X, X.exp() - 1])
+        handle.groebner()
+        calls = []
+        encode = LaurentPresentation.encode
+
+        def counted(pres, p):
+            calls.append(p)
+            return encode(pres, p)
+
+        monkeypatch.setattr(LaurentPresentation, "encode", counted)
+        query = X * (-X).exp() + X.exp() - 1
+        answer = getattr(handle, verdict)(query)
+        assert answer if verdict == "decide" else answer.member
+        assert calls == [query]
+
+    def test_query_outside_the_lattice_refines_it(self):
+        gens = [X.exp() - 1, X * X]
+        query = (X * Fraction(1, 3)).exp() * X * X - X * X
+        handle = IdealHandle(gens)
+        assert handle.membership(X.exp() - 1).member
+        before = handle.presentation().directions
+        result = handle.membership(query)
+        assert handle.presentation().directions != before
+        assert handle.presentation().covers(query)
+        fresh = IdealHandle(gens).membership(query)
+        assert result == fresh and result.member
+        assert handle.decide(query) and IdealHandle(gens).decide(query)
 
     def test_perturbed_trace_quotient_fails_reexpansion(self):
         # Cofactors are lifted lazily from the basis's reduction trace; a
