@@ -10,7 +10,7 @@ pipeline.
 from .epoly import EPoly, ord_reduce
 from .ordinals import OrdinalCNF
 from .scalars import (BaseField, GAUSSIAN_RATIONALS, GaussianRational,
-                      IMAG_UNIT, RATIONALS, Rational, gaussian)
+                      IMAG_UNIT, RATIONALS, gaussian)
 from .errors import (BudgetExceededError, ExpolyError, InternalError,
                      ParseError, PartialityError, PreconditionError,
                      VariableCountError)
@@ -36,7 +36,7 @@ __all__ = [
     "InternalError", "LaurentPresentation",
     "MembershipResult", "OrdinalCNF", "ParseError", "PartialityError",
     "PipelineReport", "PowerResult", "PreconditionError", "RATIONALS",
-    "Rational", "SaturationOutcome", "SeriesPoint", "TowerIdeal",
+    "SaturationOutcome", "SeriesPoint", "TowerIdeal",
     "TrackedDecomposition", "TruncatedSeries", "VariableCountError",
     "apply_derivation", "augmentation", "augmentation_mod",
     "dagger_check", "eval_epoly", "extract_power",

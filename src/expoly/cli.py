@@ -103,6 +103,9 @@ def cmd_derive(args, out):
         actions, _ = _parse_exprs(args.action, nvars)
         result = apply_derivation(DerivationSpec(actions), p)
     elif args.var is not None:
+        if args.var > nvars:
+            raise VariableCountError(
+                f"variable X{args.var} out of range for {nvars} variables")
         result = partial_derivative(p, args.var - 1)
     else:
         raise PreconditionError("derive needs --var or --action")
@@ -438,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="partial derivative or derivation")
     p.add_argument("expr")
-    p.add_argument("--var", type=int, default=None,
+    p.add_argument("--var", type=_int_at_least(1, "variable index"),
+                   default=None,
                    help="1-based variable index for a partial derivative")
     p.add_argument("--action", action="append", default=None,
                    help="D(Xj) for j = 1.. (repeat; applies the derivation)")
@@ -469,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intersect", help="intersection with a lower ring")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--layer", type=int, required=True)
+    p.add_argument("--layer", type=_int_at_least(0, "layer"), required=True)
     common(p, budget=True)
     p.set_defaults(func=cmd_intersect)
 
@@ -483,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dagger",
                        help="exp-compatibility of the subring intersection")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--layer", type=int, default=None)
+    p.add_argument("--layer", type=_int_at_least(0, "layer"), default=None)
     common(p, budget=True)
     p.set_defaults(func=cmd_dagger)
 

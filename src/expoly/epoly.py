@@ -62,13 +62,15 @@ class EPoly:
 
     def __init__(self, nvars: int, terms):
         """Build a canonical value from a {(mono, exponent): coeff} mapping
-        or from ((mono, exponent), coeff) pairs; repeated keys add up."""
+        or from ((mono, exponent), coeff) pairs; repeated keys add up, and
+        each sum is made a canonical scalar (`scalars.as_scalar`)."""
         if isinstance(terms, dict):
             terms = terms.items()
-        merged = accumulate(((tuple(mono), exponent), as_scalar(coeff))
+        merged = accumulate(((tuple(mono), exponent), coeff)
                             for (mono, exponent), coeff in terms)
         self.nvars = nvars
-        self._terms = tuple(sorted(merged.items(),
+        self._terms = tuple(sorted(((k, as_scalar(c))
+                                    for k, c in merged.items()),
                                    key=lambda kv: _term_key(kv[0])))
         self._hash = None
         self._height = None
@@ -102,7 +104,7 @@ class EPoly:
             raise VariableCountError(
                 f"variable index {j} out of range for {nvars} variables")
         mono = tuple(1 if k == j else 0 for k in range(nvars))
-        return cls(nvars, {(mono, None): Fraction(1)})
+        return cls(nvars, {(mono, None): 1})
 
     # -- basic structure ----------------------------------------------
 
@@ -121,7 +123,7 @@ class EPoly:
         for k, c in self._terms:
             if k == key:
                 return c
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -184,7 +186,8 @@ class EPoly:
             if not other:
                 return EPoly.zero(self.nvars)
             return EPoly._canonical(
-                self.nvars, tuple((k, v * other) for k, v in self._terms))
+                self.nvars,
+                tuple((k, as_scalar(v * other)) for k, v in self._terms))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -211,7 +214,7 @@ class EPoly:
         if _exp_argument(self) is None:
             return EPoly.const(self.nvars, 1)
         return EPoly._canonical(self.nvars,
-                                ((((0,) * self.nvars, self), Fraction(1)),))
+                                ((((0,) * self.nvars, self), 1),))
 
     # -- layers, height, rank, complexity -----------------------------
 

@@ -37,21 +37,22 @@ def _coord_key(label):
 
 
 def _epoly_coords(p: EPoly) -> dict:
-    """Q-vector coordinates of a value: one label per term and re/im part."""
+    """Q-vector coordinates of a value: one label per term and re/im part.
+    The entries are Fractions, as `linalg` vectors are."""
     out = {}
     for key, coeff in p.terms:
         re, im = scalar_re(coeff), scalar_im(coeff)
         if re:
-            out[(key, 0)] = re
+            out[(key, 0)] = Fraction(re)
         if im:
-            out[(key, 1)] = im
+            out[(key, 1)] = Fraction(im)
     return out
 
 
 def _coords_epoly(coords: dict, nvars: int) -> EPoly:
     parts = {}
     for (key, part), value in coords.items():
-        re, im = parts.get(key, (Fraction(0), Fraction(0)))
+        re, im = parts.get(key, (0, 0))
         parts[key] = (re + value, im) if part == 0 else (re, im + value)
     return EPoly(nvars, {key: gaussian(re, im)
                          for key, (re, im) in parts.items()})
@@ -130,7 +131,7 @@ class LaurentPresentation:
         for i in range(len(self.directions)):
             ui, vi = self.uv_index(i)
             out.append(self.ring.var(ui) * self.ring.var(vi)
-                       - self.ring.const(Fraction(1)))
+                       - self.ring.const(1))
         return out
 
     def decode(self, q: Poly) -> EPoly:

@@ -2,7 +2,9 @@
 
 Vectors are dicts {coordinate: Fraction} over an arbitrary hashable
 coordinate set, holding nonzero entries only: `vec_add` folds through
-`sparse.accumulate`, which drops every entry that cancels.  Matrices for the
+`sparse.accumulate`, which drops every entry that cancels.  Entries must be
+Fractions, not ints: `RationalEchelon.insert` inverts a pivot entry with
+`/`, which on an int would give a float.  Matrices for the
 integer routines are lists of lists.
 """
 

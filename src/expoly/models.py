@@ -14,7 +14,7 @@ from .ediff import jacobian
 from .epoly import EPoly
 from .errors import PartialityError, PreconditionError, VariableCountError
 from .scalars import (GaussianRational, as_scalar, format_scalar, scalar_im,
-                      scalar_re)
+                      scalar_inv, scalar_re)
 
 
 class TruncatedSeries:
@@ -26,7 +26,7 @@ class TruncatedSeries:
         coeffs = [as_scalar(c) for c in coeffs]
         if order is not None:
             # Pad or truncate to `order`; an order below 1 leaves nothing.
-            coeffs = (coeffs + [Fraction(0)] * order)[:max(order, 0)]
+            coeffs = (coeffs + [0] * order)[:max(order, 0)]
         if not coeffs:
             raise PreconditionError("truncation order must be at least 1")
         self.coeffs = tuple(coeffs)
@@ -37,7 +37,7 @@ class TruncatedSeries:
 
     @classmethod
     def const(cls, c, order: int) -> "TruncatedSeries":
-        return cls([c] + [Fraction(0)] * (order - 1))
+        return cls([c] + [0] * (order - 1))
 
     @classmethod
     def t(cls, order: int) -> "TruncatedSeries":
@@ -68,7 +68,7 @@ class TruncatedSeries:
             return TruncatedSeries([a * other for a in self.coeffs])
         other = self._check(other)
         n = self.order
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -134,7 +134,7 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     for k in range(1, s.order):
         power = power * s
         factorial *= k
-        out = out + power * Fraction(1, factorial)
+        out = out + power * scalar_inv(factorial)
     return out
 
 
@@ -205,7 +205,7 @@ def eval_epoly(p: EPoly, point):
             acc = acc * point.exp(eval_epoly(exponent, point), exponent)
         total = acc if total is None else total + acc
     if total is None:
-        return point.lift(Fraction(0))
+        return point.lift(0)
     return total
 
 

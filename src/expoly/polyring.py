@@ -2,8 +2,10 @@
 
 This is the machine room for ideal computations: ordinary polynomial rings
 whose variables are the formal X's plus the u/v pairs encoding group
-elements.  Coefficients are exact scalars (Fraction or GaussianRational);
-the code only relies on field operators.
+elements.  Coefficients are exact scalars (`scalars`: int, Fraction or
+GaussianRational).  The code adds, subtracts and multiplies them with the
+field operators and divides them only through `scalar_div`, since `/` on
+two ints would give a float.
 
 Buchberger runs on bare polynomials and keeps a reduction trace, from
 which cofactors over the inputs are lifted only when asked for, through
@@ -32,13 +34,12 @@ Schoenemann, ISSAC 1998).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add, le, neg, sub
 
 from .errors import Budget
-from .scalars import scalar_inv
+from .scalars import as_scalar, scalar_div, scalar_inv
 from .sparse import accumulate
 
 
@@ -116,7 +117,7 @@ class PolyRing:
 
     def var(self, i: int) -> "Poly":
         mono = tuple(1 if k == i else 0 for k in range(self.nvars))
-        return Poly(self, {mono: Fraction(1)})
+        return Poly(self, {mono: 1})
 
     def with_order(self, order: MonomialOrder) -> "PolyRing":
         return PolyRing(self.names, order)
@@ -160,7 +161,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly(self.ring,
-                        {m: c * other for m, c in self.terms.items()})
+                        {m: as_scalar(c * other)
+                         for m, c in self.terms.items()})
         return Poly(self.ring, ((mono_mul(ma, mb), ca * cb)
                                 for ma, ca in self.terms.items()
                                 for mb, cb in other.terms.items()))
@@ -234,7 +236,7 @@ def reduce_full(p: Poly, reducers, budget: Budget):
             if mono_divides(lm, m):
                 budget.spend()
                 qm = mono_div(m, lm)
-                qc = c / lc
+                qc = scalar_div(c, lc)
                 quotients[i][qm] = qc
                 qc_neg = -qc
                 shifted = [(mono_mul(rm, qm), rc * qc_neg)
@@ -380,7 +382,7 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
             live[h, ks[0]] = lcm
             heappush(heap, (key(lcm), h, ks[0]))
         basis.append(poly)
-        nodes.append((origin, quotients, Fraction(1)))
+        nodes.append((origin, quotients, 1))
         leads.append(mh)
 
     for i, g in enumerate(gens):
@@ -394,10 +396,10 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
             continue
         fi, fj = basis[i], basis[j]
         mi, mj = mono_div(lcm, leads[i]), mono_div(lcm, leads[j])
-        c = fi.lead()[1] / fj.lead()[1]
+        c = scalar_div(fi.lead()[1], fj.lead()[1])
         budget.spend()
         reduce_and_enter(_spoly(fi, mi, fj, mj, c),
-                         ((nodes[i], mi, Fraction(1)), (nodes[j], mj, -c)))
+                         ((nodes[i], mi, 1), (nodes[j], mj, -c)))
 
     return _interreduce(list(zip(basis, nodes)), ring, gens, budget)
 
@@ -426,7 +428,7 @@ def _interreduce(basis, ring, gens, budget: Budget) -> GroebnerBasis:
             quotients = _traced([n for _, n in others], qs)
         inv = scalar_inv(poly.lead()[1])
         if quotients or inv != 1:
-            poly, node = poly * inv, (((node, unit, Fraction(1)),),
+            poly, node = poly * inv, (((node, unit, 1),),
                                       quotients, inv)
         final.append((poly, node))
     final.sort(key=lambda pn: key(pn[0].lead()[0]), reverse=True)
@@ -447,4 +449,5 @@ def spolynomial(f: Poly, g: Poly) -> Poly:
     mf, cf = f.lead()
     mg, cg = g.lead()
     lcm = mono_lcm(mf, mg)
-    return _spoly(f, mono_div(lcm, mf), g, mono_div(lcm, mg), cf / cg)
+    return _spoly(f, mono_div(lcm, mf), g, mono_div(lcm, mg),
+                  scalar_div(cf, cg))

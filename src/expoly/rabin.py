@@ -16,7 +16,6 @@ flagged, never silently accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .epoly import EPoly
@@ -60,12 +59,12 @@ def one_certificate(hs, g: EPoly, budget: Budget | None = None
     def with_y(q: Poly) -> Poly:
         return Poly(ring, {mono + (0,): c for mono, c in q.terms.items()})
 
-    one_minus_yg = (ring.const(Fraction(1))
+    one_minus_yg = (ring.const(1)
                     - ring.var(ring.nvars - 1) * with_y(pres.encode(g)))
     gens = [with_y(pres.encode(h)) for h in hs] + [one_minus_yg]
     gb = buchberger(gens + [with_y(rel) for rel in pres.relations()], ring,
                     budget)
-    cof = gb.cofactors(ring.const(Fraction(1)))
+    cof = gb.cofactors(ring.const(1))
     if cof is None:
         return CertificateResult(found=False, lattice=pres.describe())
     t = tuple(_decode_with_y(c, pres) for c in cof[:len(hs)])

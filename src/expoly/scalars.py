@@ -1,15 +1,19 @@
 """Exact base-field scalars: rationals and Gaussian rationals.
 
-Scalars are either `fractions.Fraction` (the field Q) or `GaussianRational`
-(the field Q(i)).  A Gaussian rational with zero imaginary part is never
-constructed: all arithmetic routes through `gaussian()`, which collapses such
-values back to Fraction.  This keeps representations unique, so `==` on
-scalars is exactly equality of values and dict/set keys behave canonically.
+A rational (an element of the field Q) is an `int` when its denominator is
+1 and a `fractions.Fraction` otherwise; an element of Q(i) with a nonzero
+imaginary part is a `GaussianRational`.  A Gaussian rational with zero
+imaginary part is never constructed: all arithmetic routes through
+`gaussian()`, which collapses such values back to a rational.  The parts of
+a Gaussian rational follow the same int-or-Fraction rule.
 
-The parts of a Gaussian rational are always Fractions.  The constructor,
-`gaussian`, `scalar_re` and `scalar_im` pass an argument that already is a
-`Fraction` through as it is and convert only other values (ints), so
-arithmetic does not re-wrap its Fraction results.
+`as_scalar`, `gaussian`, `scalar_re`, `parse_scalar` and `scalar_div`
+return canonical values.  Raw `Fraction` arithmetic may still give a
+`Fraction` with denominator 1; it equals the int, hashes like it and prints
+like it, so `==`, dict/set keys and text output never see the difference.
+
+`scalar_div` is the one division of coefficients: `/` on two ints would
+give a float, so no other `/` may touch a coefficient.
 """
 
 from __future__ import annotations
@@ -18,18 +22,16 @@ from fractions import Fraction
 
 from .errors import ParseError, PartialityError
 
-Rational = Fraction
-_ZERO = Fraction(0)  # shared: Fractions are immutable
-
 
 class GaussianRational:
-    """An element a + b*i of Q(i) with b != 0 (pure rationals are Fraction)."""
+    """An element a + b*i of Q(i) with b != 0 (pure rationals are int or
+    Fraction)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = _rational(re)
+        self.im = _rational(im)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -74,16 +76,14 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _lift(other)
-        if o is None:
+        if not isinstance(other, (GaussianRational, Fraction, int)):
             return NotImplemented
-        return self * scalar_inv(o)
+        return scalar_div(self, other)
 
     def __rtruediv__(self, other):
-        o = _lift(other)
-        if o is None:
+        if not isinstance(other, (Fraction, int)):
             return NotImplemented
-        return o * scalar_inv(self)
+        return scalar_div(other, self)
 
     def __bool__(self):
         return True  # im != 0 by construction
@@ -95,55 +95,73 @@ class GaussianRational:
         return format_scalar(self)
 
 
+def _rational(x):
+    """The canonical rational equal to an int or a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"not an exact scalar: {x!r}")
+
+
 def _lift(x):
     """View x as a Gaussian rational, or None if it is not a scalar."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (Fraction, int)):
-        return GaussianRational(x, _ZERO)
+        return GaussianRational(x, 0)
     return None
 
 
-def gaussian(re, im) -> Fraction | GaussianRational:
-    """Canonical element of Q(i): collapses to Fraction when im == 0."""
+def gaussian(re, im) -> int | Fraction | GaussianRational:
+    """Canonical element of Q(i): a rational when im == 0."""
     if not im:
-        return re if type(re) is Fraction else Fraction(re)
+        return _rational(re)
     return GaussianRational(re, im)
 
 
 IMAG_UNIT = GaussianRational(0, 1)
 
 
-def as_scalar(x) -> Fraction | GaussianRational:
-    if isinstance(x, (Fraction, GaussianRational)):
+def as_scalar(x) -> int | Fraction | GaussianRational:
+    """The canonical scalar equal to an int, Fraction or Gaussian rational."""
+    if type(x) is int or isinstance(x, GaussianRational):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
+    return _rational(x)
 
 
-def scalar_re(c) -> Fraction:
-    if type(c) is Fraction:
+def scalar_re(c) -> int | Fraction:
+    if type(c) is int:
         return c
-    return c.re if isinstance(c, GaussianRational) else Fraction(c)
+    return c.re if isinstance(c, GaussianRational) else _rational(c)
 
 
-def scalar_im(c) -> Fraction:
-    return c.im if isinstance(c, GaussianRational) else _ZERO
+def scalar_im(c) -> int | Fraction:
+    return c.im if isinstance(c, GaussianRational) else 0
+
+
+def scalar_div(a, b):
+    """The canonical quotient a / b of two scalars; raises
+    ZeroDivisionError when b is zero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    if isinstance(b, GaussianRational):
+        n = b.re * b.re + b.im * b.im  # nonzero since im != 0
+        return a * GaussianRational(scalar_div(b.re, n), scalar_div(-b.im, n))
+    if isinstance(a, GaussianRational):
+        return GaussianRational(scalar_div(a.re, b), scalar_div(a.im, b))
+    return _rational(Fraction(a) / b)
 
 
 def scalar_inv(c):
     """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    if isinstance(c, GaussianRational):
-        n = c.re * c.re + c.im * c.im  # nonzero since im != 0
-        return gaussian(c.re / n, -c.im / n)
-    c = Fraction(c)
-    if c == 0:
-        raise ZeroDivisionError("inverse of zero scalar")
-    return 1 / c
+    return scalar_div(1, c)
 
 
-def scalar_sort_key(c) -> tuple[Fraction, Fraction]:
+def scalar_sort_key(c) -> tuple:
     """Deterministic total order on scalars: lexicographic on (re, im)."""
     return (scalar_re(c), scalar_im(c))
 
@@ -152,7 +170,7 @@ def format_scalar(c) -> str:
     """Canonical text: `p/q` for rationals, `(a)+(b)i` for Gaussians."""
     if isinstance(c, GaussianRational):
         return f"({c.re})+({c.im})i"
-    return str(Fraction(c))
+    return str(_rational(c))
 
 
 def parse_scalar(text: str):
@@ -173,12 +191,12 @@ def parse_scalar(text: str):
     return _parse_rational(s)
 
 
-def _parse_rational(s: str) -> Fraction:
+def _parse_rational(s: str) -> int | Fraction:
     s = s.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
     try:
-        return Fraction(s)
+        return _rational(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed rational literal {s!r}") from exc
 
@@ -204,7 +222,7 @@ class BaseField:
                 f"E undefined on base-field element {format_scalar(a)}: "
                 "exponential domain is {0}"
             )
-        return Fraction(1)
+        return 1
 
     def contains(self, c) -> bool:
         if self.tag == "Q":
@@ -214,11 +232,11 @@ class BaseField:
     def sample(self, rng, span=20):
         num = rng.randint(-span, span)
         den = rng.randint(1, span)
-        re = Fraction(num, den)
+        re = scalar_div(num, den)
         if self.tag == "Q":
             return re
-        return gaussian(re, Fraction(rng.randint(-span, span),
-                                     rng.randint(1, span)))
+        return gaussian(re, scalar_div(rng.randint(-span, span),
+                                       rng.randint(1, span)))
 
     def __repr__(self):
         return f"BaseField({self.tag!r})"

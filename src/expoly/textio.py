@@ -21,11 +21,9 @@ with print is the identity on canonical values.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .epoly import EPoly, _exp_add, _exp_argument
 from .errors import ParseError, VariableCountError
-from .scalars import IMAG_UNIT, gaussian
+from .scalars import IMAG_UNIT, gaussian, scalar_div
 
 
 class _Token:
@@ -152,7 +150,8 @@ class _Parser:
             return self.parse_gaussian()
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
-    def parse_rational(self, signed=True) -> Fraction:
+    def parse_rational(self, signed=True):
+        """An int for an integral literal, else a Fraction."""
         sign = 1
         if signed and self.peek().kind == "-":
             self.take()
@@ -163,8 +162,8 @@ class _Parser:
             den = self.take("num")
             if den.value == 0:
                 raise ParseError("zero denominator", den.line, den.col)
-            return Fraction(sign * num, den.value)
-        return Fraction(sign * num)
+            return scalar_div(sign * num, den.value)
+        return sign * num
 
     def parse_gaussian(self):
         self.take("(")

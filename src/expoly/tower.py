@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .epoly import EPoly, term_layer
@@ -446,7 +445,7 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
     else:
         # Scale each column to integers; column scaling keeps the kernel.
         ncols = len(columns)
-        dense = [[rows[i].get(j, Fraction(0)) for j in range(ncols)]
+        dense = [[rows[i].get(j, 0) for j in range(ncols)]
                  for i in range(len(directions))]
         for j in range(ncols):
             denom = math.lcm(*(row[j].denominator for row in dense))

@@ -251,6 +251,42 @@ def test_smallest_counts_are_accepted(capsys, ideal_file):
     assert code == 0 and out.splitlines()[0] == "true"
 
 
+@pytest.mark.parametrize("argv", [
+    ["intersect", "--layer", "-1"],
+    ["intersect", "--layer", "-5"],
+    ["dagger", "--layer", "-2"],
+    ["dagger", "--layer", "one"],
+], ids=lambda argv: " ".join(argv))
+def test_exit_code_layer_below_zero(capsys, ideal_file, argv):
+    """A layer below 0 does not exist: a usage error, not a vacuous
+    answer."""
+    path = ideal_file("I.txt", "X1")
+    code, err = _usage_error(capsys, *argv, "--ideal", path)
+    assert code == 3 and err.startswith("usage:")
+    assert "argument --layer:" in err
+
+
+@pytest.mark.parametrize("index", ["0", "-1"])
+def test_exit_code_variable_index_below_one(capsys, index):
+    code, err = _usage_error(capsys, "derive", "X1", "--var", index)
+    assert code == 3 and err.startswith("usage:")
+    assert "argument --var:" in err and "index -" not in err
+
+
+def test_variable_index_out_of_range_is_reported_as_typed(capsys):
+    code, out, err = run(capsys, "derive", "X1", "--var", "5")
+    assert code == 1 and out == ""
+    assert err == "error: variable X5 out of range for 1 variables\n"
+
+
+def test_lowest_layer_is_accepted(capsys, ideal_file):
+    path = ideal_file("I.txt", "X1", "E(X1) - 2")
+    code, out, _ = run(capsys, "intersect", "--ideal", path, "--layer", "0")
+    assert code == 0 and out == "X1\n"
+    code, out, _ = run(capsys, "dagger", "--ideal", path, "--layer", "0")
+    assert code == 0 and out.startswith("layer 0: ")
+
+
 @pytest.mark.parametrize("query", ["X1^\u00b2", "\u00b2*X1", "X\u00b9"])
 def test_superscript_digit_in_expression_is_a_syntax_error(capsys,
                                                            ideal_file, query):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from expoly import (GAUSSIAN_RATIONALS, GaussianRational,  # noqa: E402
                     IMAG_UNIT, PartialityError, RATIONALS, gaussian)
-from expoly.scalars import (format_scalar, parse_scalar,  # noqa: E402
-                            scalar_im, scalar_inv, scalar_re,
-                            scalar_sort_key)
+from expoly.scalars import (as_scalar, format_scalar,  # noqa: E402
+                            parse_scalar, scalar_div, scalar_im, scalar_inv,
+                            scalar_re, scalar_sort_key)
 
 
 def test_rational_basics():
@@ -28,11 +28,20 @@ def test_inverse_of_zero_is_an_error():
 
 
 def test_gaussian_collapses_to_fraction():
-    assert isinstance(gaussian(3, 0), Fraction)
+    """A zero imaginary part leaves a fraction p/q: an int when q is 1,
+    else a Fraction."""
+    assert type(gaussian(3, 0)) is int
+    assert type(gaussian(Fraction(6, 2), Fraction(0))) is int
+    assert type(gaussian(Fraction(1, 2), 0)) is Fraction
     assert isinstance(gaussian(3, 1), GaussianRational)
-    # arithmetic lands back in Fraction when the imaginary part cancels
+    # arithmetic lands back in a rational when the imaginary part cancels:
+    # an int when it is integral, a Fraction otherwise
     z = gaussian(2, 5) - gaussian(1, 5)
-    assert isinstance(z, Fraction) and z == 1
+    assert type(z) is int and z == 1
+    z = gaussian(Fraction(1, 2), 5) - gaussian(1, 5)
+    assert type(z) is Fraction and z == Fraction(-1, 2)
+    z = gaussian(Fraction(1, 2), 5) + gaussian(Fraction(1, 2), -5)
+    assert type(z) is int and z == 1
 
 
 def test_field_axioms_sampled():
@@ -123,16 +132,33 @@ def _ref_inv(a):
     return (a[0] / n, -a[1] / n)
 
 
+def _canonical_rational(x):
+    """An int when integral, a Fraction otherwise; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def _assert_canonical(value, ref):
     parts = (scalar_re(value), scalar_im(value))
-    assert parts == ref and all(type(x) is Fraction for x in parts)
-    if type(value) is Fraction:
-        assert ref == (value, 0)
-    else:
-        assert type(value) is GaussianRational
-        assert type(value.re) is Fraction and type(value.im) is Fraction
+    assert parts == ref and all(_canonical_rational(x) for x in parts)
+    if type(value) is GaussianRational:
+        assert _canonical_rational(value.re)
+        assert _canonical_rational(value.im)
         assert value.im != 0
         assert (value.re, value.im) == ref
+    else:
+        assert _canonical_rational(value)
+        assert ref == (value, 0)
+
+
+def _assert_raw_rational(value, ref):
+    """A result of raw int/Fraction arithmetic: canonical, or a Fraction
+    with denominator 1 that equals, hashes and prints like the int."""
+    if type(value) is Fraction and value.denominator == 1:
+        n = value.numerator
+        assert value == n and hash(value) == hash(n)
+        assert str(value) == str(n) == format_scalar(value)
+        value = n
+    _assert_canonical(value, ref)
 
 
 @PROPERTY
@@ -141,13 +167,25 @@ def _assert_canonical(value, ref):
 def test_arithmetic_results_are_canonical(pair):
     (a, ra), (b, rb) = pair
     _assert_canonical(gaussian(*ra), ra)
-    if not isinstance(a, int):
-        _assert_canonical(a, ra)
-        _assert_canonical(-a, (-ra[0], -ra[1]))
+    _assert_canonical(as_scalar(a), ra)
+    _assert_canonical(-as_scalar(a), (-ra[0], -ra[1]))
+    _assert_canonical(parse_scalar(format_scalar(a)), ra)
     if ra != (0, 0):
         _assert_canonical(scalar_inv(a), _ref_inv(ra))
-    if isinstance(a, int) and isinstance(b, int):
-        return  # int op int is int arithmetic, which no scalar op does
+    if rb != (0, 0):
+        _assert_canonical(scalar_div(a, b), _ref_mul(ra, _ref_inv(rb)))
+    if not isinstance(a, GaussianRational):
+        _assert_raw_rational(-a, (-ra[0], -ra[1]))
+    else:
+        _assert_canonical(-a, (-ra[0], -ra[1]))
+    if not (isinstance(a, GaussianRational)
+            or isinstance(b, GaussianRational)):
+        # Raw int/Fraction arithmetic; `/` is not a scalar operation here,
+        # since int / int is a float.
+        _assert_raw_rational(a + b, (ra[0] + rb[0], ra[1] + rb[1]))
+        _assert_raw_rational(a - b, (ra[0] - rb[0], ra[1] - rb[1]))
+        _assert_raw_rational(a * b, _ref_mul(ra, rb))
+        return
     _assert_canonical(a + b, (ra[0] + rb[0], ra[1] + rb[1]))
     _assert_canonical(a - b, (ra[0] - rb[0], ra[1] - rb[1]))
     _assert_canonical(a * b, _ref_mul(ra, rb))
@@ -156,6 +194,13 @@ def test_arithmetic_results_are_canonical(pair):
 
 
 def test_gaussian_parts_are_fractions():
+    """The parts are fractions p/q under the same rule: an int when q is
+    1, else a Fraction."""
     z = GaussianRational(1, 2)
-    assert type(z.re) is Fraction and type(z.im) is Fraction
-    assert type(gaussian(3, 0)) is Fraction
+    assert type(z.re) is int and type(z.im) is int
+    z = GaussianRational(Fraction(4, 2), Fraction(1, 2))
+    assert type(z.re) is int and z.re == 2
+    assert type(z.im) is Fraction and z.im == Fraction(1, 2)
+    z = gaussian(Fraction(1, 3), 1) * 3
+    assert type(z.re) is int and type(z.im) is int and z == gaussian(1, 3)
+    assert type(gaussian(3, 0)) is int
