@@ -372,13 +372,11 @@ def cmd_demo(args, out):
 
 
 def _random_zero_const(rng, nvars):
-    p = EPoly.zero(nvars)
-    for _ in range(rng.randint(1, 3)):
-        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if coeff:
-            p = p + EPoly(nvars, {(mono, None): coeff})
-    return p - p.constant_term()
+    """One to three random X-monomials with the constant one left out."""
+    draws = [(tuple(rng.randint(0, 2) for _ in range(nvars)),
+              Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+             for _ in range(rng.randint(1, 3))]
+    return EPoly(nvars, (((mono, None), c) for mono, c in draws if any(mono)))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -38,18 +38,18 @@ def apply_derivation(spec: DerivationSpec, p: EPoly) -> EPoly:
     """D(p) by structural recursion: Leibniz over terms, D(t^a) = D(a)*t^a."""
     if p.nvars != spec.nvars:
         raise VariableCountError("arity mismatch between derivation and input")
-    out = EPoly.zero(p.nvars)
+    products = []
     for (mono, exponent), coeff in p.terms:
         for j, e in enumerate(mono):
             if e == 0 or not spec.var_actions[j]:
                 continue
             lowered = tuple(x - 1 if k == j else x for k, x in enumerate(mono))
-            out = out + (EPoly(p.nvars, {(lowered, exponent): coeff * e})
-                         * spec.var_actions[j])
+            products.append((EPoly(p.nvars, {(lowered, exponent): coeff * e}),
+                             spec.var_actions[j]))
         if exponent is not None:
-            carrier = EPoly(p.nvars, {(mono, exponent): coeff})
-            out = out + carrier * apply_derivation(spec, exponent)
-    return out
+            products.append((EPoly(p.nvars, {(mono, exponent): coeff}),
+                             apply_derivation(spec, exponent)))
+    return EPoly.combination(p.nvars, products)
 
 
 def partial_derivative(p: EPoly, j: int) -> EPoly:
@@ -82,12 +82,8 @@ def _det(rows, ridx, cidx) -> EPoly:
     nvars = rows[0][0].nvars
     if n == 1:
         return rows[ridx[0]][cidx[0]]
-    out = EPoly.zero(nvars)
-    sign = 1
-    for k, c in enumerate(cidx):
-        entry = rows[ridx[0]][c]
-        if entry:
-            minor = _det(rows, ridx[1:], cidx[:k] + cidx[k + 1:])
-            out = out + entry * minor * sign
-        sign = -sign
-    return out
+    row = rows[ridx[0]]
+    return EPoly.combination(
+        nvars, ((row[c] if k % 2 == 0 else -row[c],
+                 _det(rows, ridx[1:], cidx[:k] + cidx[k + 1:]))
+                for k, c in enumerate(cidx) if row[c]))

@@ -24,8 +24,11 @@ These drive the decomposition into per-layer components and the ordinal
 complexity measure.
 
 Values are built by the folding constructor `EPoly(nvars, terms)`: it adds
-up repeated keys, drops zero sums and sorts.  Operations whose result is
-canonical by construction skip both through the private `EPoly._canonical`:
+up repeated keys, drops zero sums and sorts.  `EPoly.combination` is the one
+way to build a sum of products a_1*b_1 + ... + a_m*b_m: every product term
+goes to a single constructor call, which folds and sorts once, and `a * b`
+of two values uses the same product rule.  Operations whose result is canonical by
+construction skip both through the private `EPoly._canonical`:
 `zero`, negation, multiplication by a nonzero scalar (the term order ignores
 coefficients), `exp` (a single term), and filters of a value's sorted terms
 (`layer_component`, `layer_decompose`, and in `tower.rewrite` the
@@ -91,6 +94,15 @@ class EPoly:
         return self
 
     @classmethod
+    def combination(cls, nvars: int, products) -> "EPoly":
+        """sum a * b over (a, b) pairs, each factor an EPoly over `nvars`
+        variables or a scalar; one constructor call folds and sorts it."""
+        return cls(nvars, (term for a, b in products
+                           for term in _product_terms(
+                               _factor_terms(nvars, a),
+                               _factor_terms(nvars, b))))
+
+    @classmethod
     def zero(cls, nvars: int) -> "EPoly":
         return cls._canonical(nvars, ())
 
@@ -151,10 +163,7 @@ class EPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return EPoly.const(self.nvars, other)
         if isinstance(other, EPoly):
-            if other.nvars != self.nvars:
-                raise VariableCountError(
-                    f"variable counts differ: {self.nvars} vs {other.nvars}")
-            return other
+            return _checked(self.nvars, other)
         return None
 
     def __add__(self, other):
@@ -191,11 +200,7 @@ class EPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return EPoly(self.nvars,
-                     (((tuple(map(add, ma, mb)),
-                        _exp_add(ea, eb)), ca * cb)
-                      for (ma, ea), ca in self._terms
-                      for (mb, eb), cb in other._terms))
+        return EPoly(self.nvars, _product_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -306,6 +311,27 @@ def _exp_argument(p):
             f"E undefined: constant term {format_scalar(c)} "
             "outside the exponential domain {0}")
     return p or None
+
+
+def _product_terms(a_terms, b_terms):
+    """The unfolded terms of a product: monomials and exponents add."""
+    for (ma, ea), ca in a_terms:
+        for (mb, eb), cb in b_terms:
+            yield (tuple(map(add, ma, mb)), _exp_add(ea, eb)), ca * cb
+
+
+def _factor_terms(nvars: int, x) -> tuple:
+    """The terms of a factor: an EPoly's own, a scalar's as a constant."""
+    if isinstance(x, EPoly):
+        return _checked(nvars, x)._terms
+    return ((((0,) * nvars, None), x),) if x else ()
+
+
+def _checked(nvars: int, p: EPoly) -> EPoly:
+    if p.nvars != nvars:
+        raise VariableCountError(
+            f"variable counts differ: {nvars} vs {p.nvars}")
+    return p
 
 
 def _exp_add(a, b):

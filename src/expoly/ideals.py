@@ -136,18 +136,13 @@ class LaurentPresentation:
 
     def decode(self, q: Poly) -> EPoly:
         """Ring homomorphism back: u_i -> E(b_i), v_i -> E(-b_i)."""
+        uv = [self.uv_index(i) for i in range(len(self.directions))]
         pairs = []
         for mono, coeff in q.terms.items():
-            exponent = None
-            for i, direction in enumerate(self.directions):
-                ui, vi = self.uv_index(i)
-                k = mono[ui] - mono[vi]
-                if k:
-                    piece = direction.epoly * k
-                    exponent = piece if exponent is None else exponent + piece
-            if exponent is not None and exponent.is_zero():
-                exponent = None
-            pairs.append(((mono[:self.nvars], exponent), coeff))
+            exponent = EPoly.combination(
+                self.nvars, ((d.epoly, mono[ui] - mono[vi])
+                             for d, (ui, vi) in zip(self.directions, uv)))
+            pairs.append(((mono[:self.nvars], exponent or None), coeff))
         return EPoly(self.nvars, pairs)
 
     def describe(self) -> str:
@@ -294,10 +289,7 @@ class IdealHandle:
         if cof is None:
             return MembershipResult(False, None)
         cofactors = tuple(pres.decode(c) for c in cof[:len(self.gens)])
-        check = EPoly.zero(self.nvars)
-        for c, g in zip(cofactors, self.gens):
-            check = check + c * g
-        if check != p:
+        if EPoly.combination(self.nvars, zip(cofactors, self.gens)) != p:
             raise InternalError("internal error: cofactor expansion mismatch")
         return MembershipResult(True, cofactors)
 

@@ -9,8 +9,9 @@ g^d = sum c_i * h_i back in the original ring.
 Cofactors are graded by Y: `coeffs` maps each Y-degree k to a nonzero
 exponential polynomial.  1 = sum t_i*h_i + (1 - Y*g)*r is checked exactly,
 one degree at a time: sum_i t_i[k]*h_i + r[k] - g*r[k-1] is 1 at k = 0 and
-0 above.  g^d = sum c_i * h_i is re-expanded too; a failed check is
-flagged, never silently accepted.
+0 above.  g^d = sum c_i * h_i is re-expanded too.  A failed check of
+either identity raises `InternalError` (exit 4 from the CLI); it is never
+silently accepted.
 """
 
 from __future__ import annotations
@@ -72,13 +73,9 @@ def one_certificate(hs, g: EPoly, budget: Budget | None = None
     # Exact verification, one Y-degree at a time (see the module docstring).
     top = max(max(s.coeffs, default=0) for s in (*t, r))
     for k in range(top + 2):
-        parts = [ti.coeffs[k] * h for ti, h in zip(t, hs) if k in ti.coeffs]
-        if k in r.coeffs:
-            parts.append(r.coeffs[k])
-        if k - 1 in r.coeffs:
-            parts.append(-(g * r.coeffs[k - 1]))
-        total = EPoly(nvars, [term for part in parts for term in part.terms])
-        if total != (1 if k == 0 else 0):
+        products = [(ti.coeffs.get(k, 0), h) for ti, h in zip(t, hs)]
+        products += [(r.coeffs.get(k, 0), 1), (-g, r.coeffs.get(k - 1, 0))]
+        if EPoly.combination(nvars, products) != (1 if k == 0 else 0):
             raise InternalError("internal error: certificate fails to expand")
     return CertificateResult(found=True, t=t, r=r, lattice=pres.describe())
 
@@ -104,27 +101,24 @@ def extract_power(cert: CertificateResult, hs, g: EPoly) -> PowerResult:
     """Substitute the inverse of g for Y and clear denominators.
 
     d is the maximal Y-degree among the t_i; the cofactor of h_i becomes
-    sum_j t_ij * g^(d-j).  The identity g^d = sum c_i*h_i is re-expanded
-    exactly; a mismatch flags an engine bug rather than being accepted.
+    sum_j t_ij * g^(d-j).  For g = 0 the exponent is at least 1, since
+    0^0 = 1 is not a combination of the h_i.  The identity g^d = sum c_i*h_i
+    is re-expanded exactly; a mismatch raises `InternalError`.
     """
     if not cert.found or cert.t is None:
         raise ValueError("no certificate to extract from")
-    hs = list(hs)
-    d = cert.max_degree()
+    d = cert.max_degree() if g else max(cert.max_degree(), 1)
     powers = [EPoly.const(g.nvars, 1)]
     for _ in range(d):
         powers.append(powers[-1] * g)
-    cofactors = []
-    for ti in cert.t:
-        c = EPoly.zero(g.nvars)
-        for j, coeff in ti.coeffs.items():
-            c = c + coeff * powers[d - j]
-        cofactors.append(c)
-    lhs = powers[d]
-    rhs = EPoly.zero(g.nvars)
-    for c, h in zip(cofactors, hs):
-        rhs = rhs + c * h
-    return PowerResult(d=d, cofactors=tuple(cofactors), verified=lhs == rhs)
+    cofactors = tuple(
+        EPoly.combination(g.nvars, ((coeff, powers[d - j])
+                                    for j, coeff in ti.coeffs.items()))
+        for ti in cert.t)
+    if EPoly.combination(g.nvars, zip(cofactors, hs)) != powers[d]:
+        raise InternalError("internal error: power certificate fails to "
+                            "expand")
+    return PowerResult(d=d, cofactors=cofactors, verified=True)
 
 
 @dataclass

@@ -5,7 +5,9 @@ Y-graded Rabinowitsch cofactors are all dicts from keys to nonzero
 coefficients.  They are built by folding (key, coeff) pairs: equal keys add
 up and a sum that is zero is dropped, so no stored coefficient is ever zero.
 Coefficients only need `+` and truthiness (nonzero), which holds for exact
-scalars and for exponential polynomials alike.
+scalars and for exponential polynomials alike.  A sum of products of
+exponential polynomials is built by `EPoly.combination`, the one way to
+build one: all its product terms go through a single fold.
 """
 
 from __future__ import annotations

@@ -78,10 +78,10 @@ class TrackedDecomposition:
             return a, zero, zero
         a1 = _coords_epoly(residual, self.nvars)
         scaled = [(self.seeds[idx], lam) for idx, lam in coeffs.items()]
-        fhat = EPoly(self.nvars, ((k, c * lam) for seed, lam in scaled
-                                  for k, c in seed.element.terms))
-        fhat_lower = EPoly(self.nvars, ((k, c * lam) for seed, lam in scaled
-                                        for k, c in seed.lower.terms))
+        fhat = EPoly.combination(
+            self.nvars, ((seed.element, lam) for seed, lam in scaled))
+        fhat_lower = EPoly.combination(
+            self.nvars, ((seed.lower, lam) for seed, lam in scaled))
         return a1, fhat, fhat_lower
 
 
@@ -167,10 +167,8 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
 
 def rewrite_expand(terms, nvars: int) -> EPoly:
     """Exact re-expansion sum r_i * E(u_i) of a rewriting."""
-    acc = EPoly.zero(nvars)
-    for term in terms:
-        acc = acc + term.coefficient * term.argument.exp()
-    return acc
+    return EPoly.combination(nvars, ((t.coefficient, t.argument.exp())
+                                     for t in terms))
 
 
 @dataclass
@@ -298,11 +296,7 @@ class TowerIdeal:
                          and not g.layer_component(self.base_layer).is_zero()]
         dec = TrackedDecomposition(top, self.base.nvars)
         for f in seeds or []:
-            if top == self.base_layer:
-                if not self.base.membership(f).member:
-                    raise PreconditionError(
-                        f"seed {f} fails membership at the base")
-            elif not self.membership(f, top):
+            if not self.membership(f, top):
                 raise PreconditionError(
                     f"seed {f} fails membership at level {top}")
             dec.try_add(f)
@@ -454,10 +448,7 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
         kernel = integer_kernel(dense)
     out = []
     for x in kernel:
-        element = EPoly.zero(cut.nvars)
-        for xi, b in zip(x, directions):
-            if xi:
-                element = element + b * xi
+        element = EPoly.combination(cut.nvars, zip(directions, x))
         if element.is_zero():
             continue
         if not cut.membership(element).member:
@@ -495,9 +486,7 @@ def real_kernel_check(ideal: IdealHandle, witness_tuples, layer: int
     report = RealKernelReport(layer=layer, entries=[])
     for tup in witness_tuples:
         tup = tuple(tup)
-        total = EPoly.zero(ideal.nvars)
-        for u in tup:
-            total = total + u * u
+        total = EPoly.combination(ideal.nvars, ((u, u) for u in tup))
         _, in_kernel = augmentation_mod(total, ideal, layer)
         offenders = ()
         if in_kernel:

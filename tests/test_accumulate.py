@@ -1,5 +1,6 @@
-"""Property tests for the shared sparse accumulator and the ring laws it
-carries.  They sit next to the seeded sampling tests, not in place of them.
+"""Property tests for the shared sparse accumulator, the ring laws it
+carries and `EPoly.combination`, the one fold for sums of products.  They
+sit next to the seeded sampling tests, not in place of them.
 """
 
 from fractions import Fraction
@@ -9,8 +10,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from expoly import EPoly, gaussian  # noqa: E402
+from expoly import EPoly, VariableCountError, gaussian  # noqa: E402
 from expoly.polyring import Poly, PolyRing  # noqa: E402
+from expoly.scalars import scalar_im, scalar_re  # noqa: E402
+
+from test_scalars import _assert_canonical  # noqa: E402
 
 NVARS = 2
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -114,3 +118,55 @@ def test_order_preserving_results_are_canonical(p, c, i):
                    (p - p.constant_term()).exp()):
         assert_canonical(result)
     assert (p * 0).is_zero() and (p * Fraction(0)).is_zero()
+
+
+# -- EPoly.combination against the hand-rolled accumulator loop --------------
+
+nested_epolys = pair_lists(st.tuples(monos, st.sampled_from(NESTED))).map(
+    lambda pairs: EPoly(NVARS, pairs))
+factors = st.one_of(nested_epolys, scalars, st.integers(-3, 3))
+
+
+def reference_combination(products):
+    """The loop `EPoly.combination` replaces: one product and one partial
+    sum per pair."""
+    acc = EPoly.zero(NVARS)
+    for a, b in products:
+        acc = acc + a * b
+    return acc
+
+
+@st.composite
+def product_lists(draw):
+    """(a, b) pairs, scalars on either side, some cancelled by a (-a, b)."""
+    products = draw(st.lists(st.tuples(factors, factors), max_size=5))
+    cancelled = draw(st.lists(st.sampled_from(products), max_size=3)
+                     if products else st.just([]))
+    return draw(st.permutations(products + [(-a, b) for a, b in cancelled]))
+
+
+def assert_coefficients_canonical(p):
+    for (_, exponent), coeff in p.terms:
+        _assert_canonical(coeff, (scalar_re(coeff), scalar_im(coeff)))
+        if exponent is not None:
+            assert_coefficients_canonical(exponent)
+
+
+@PROPERTY
+@given(product_lists())
+def test_combination_is_the_accumulator_loop(products):
+    built = EPoly.combination(NVARS, products)
+    assert built == reference_combination(products)
+    assert_canonical(built)
+    assert_coefficients_canonical(built)
+    cancelled = products + [(a, -b) for a, b in products]
+    assert EPoly.combination(NVARS, cancelled).is_zero()
+
+
+def test_combination_edge_cases():
+    assert EPoly.combination(NVARS, []) == EPoly.zero(NVARS)
+    assert EPoly.combination(NVARS, iter([(2, 3), (X1, 0)])) == 6
+    (_, one), = EPoly.combination(NVARS, [(Fraction(1, 2), 2)]).terms
+    assert one == 1 and type(one) is int
+    with pytest.raises(VariableCountError):
+        EPoly.combination(NVARS, [(X1, EPoly.var(1, 0))])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -132,6 +133,21 @@ def test_rabinowitsch_json(capsys, ideal_file):
     assert code == 0
     assert doc["format"] == "nssreport/1"
     assert doc["d"] == 1 and doc["verified"] is True
+
+
+def test_rabinowitsch_zero_g(capsys, ideal_file):
+    """0^0 = 1 is no combination of X1: g = 0 needs d = 1, 0^1 = 0 * X1."""
+    path = ideal_file("I.txt", "X1")
+    code, out, _ = run(capsys, "rabinowitsch", "--ideal", path, "--g", "0")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["d = 1", "  cofactor of X1: 0",
+                                     "verified: True"]
+    code, out, _ = run(capsys, "rabinowitsch", "--ideal", path, "--g", "0",
+                       "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["d"] == 1 and doc["cofactors"] == ["0"]
+    assert doc["verified"] is True
 
 
 def test_exit_code_domain_error(capsys):
@@ -345,6 +361,18 @@ def test_unread_option_is_a_usage_error(capsys, argv):
     assert code == 3 and err.startswith("usage:")
 
 
+# sha256 of `expoly demo` at seed 0 (57 lines): every value, derivation,
+# certificate and verdict it prints, exactly.
+DEMO_SHA256 = ("f4706c6ed988908bca60e9da31c72b85"
+               "e255ec4ae16586561d1e64512556392e")
+
+
+def test_demo_output_keeps_its_digest(capsys):
+    code, out, _ = run(capsys, "demo")
+    assert code == 0 and len(out.splitlines()) == 57
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_SHA256
+
+
 def test_demo_deterministic(capsys):
     code1, out1, _ = run(capsys, "demo")
     code2, out2, _ = run(capsys, "demo")
@@ -359,7 +387,9 @@ import sys
 if __debug__:
     sys.exit("expected to run under python -O")
 
-from expoly import EPoly, IdealHandle, InternalError, one_certificate
+from expoly import (EPoly, IdealHandle, InternalError, extract_power,
+                    one_certificate)
+from expoly import rabin
 from expoly.cli import main
 from expoly.polyring import GroebnerBasis
 
@@ -385,16 +415,39 @@ for check in (lambda: IdealHandle([x]).membership(x * x),
         print("accepted")
 print(main(["member", "--ideal", sys.argv[1], "X1^2"]))
 print(main(["rabinowitsch", "--ideal", sys.argv[1], "--g", "X1"]))
+
+# A sound Y-graded certificate whose cofactors of h_1 are then doubled:
+# only the re-expansion of g^d = sum c_i * h_i can catch it.
+GroebnerBasis.cofactors = exact
+
+
+def tampered(hs, g, budget=None):
+    cert = one_certificate(hs, g, budget)
+    t1 = cert.t[0]
+    cert.t = (t1._replace(coeffs={k: 2 * c for k, c in t1.coeffs.items()}),
+              *cert.t[1:])
+    return cert
+
+
+rabin.one_certificate = tampered
+try:
+    extract_power(tampered([x], x), [x], x)
+except InternalError:
+    print("InternalError")
+else:
+    print("accepted")
+print(main(["rabinowitsch", "--ideal", sys.argv[1], "--g", "X1"]))
 """
 
 
 def test_exit_code_internal_error_under_optimize(ideal_file):
-    """A cofactor that fails to re-expand raises InternalError and exits 4,
-    also with assertions compiled out."""
+    """A cofactor or a power certificate that fails to re-expand raises
+    InternalError and exits 4, also with assertions compiled out."""
     path = ideal_file("I.txt", "X1")
     proc = subprocess.run([sys.executable, "-O", "-c", FORCED_MISMATCH, path],
                           capture_output=True, text=True, env=_src_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["InternalError", "InternalError", "4", "4"]
-    assert proc.stderr.count("internal error") == 2
+    assert proc.stdout.split() == ["InternalError", "InternalError", "4", "4",
+                                   "InternalError", "4"]
+    assert proc.stderr.count("internal error") == 3

@@ -58,6 +58,11 @@ def test_jacobian_fixtures():
     assert jacobian([x.exp() - 1]) == x.exp()
     x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
     assert jacobian([x1, x2]) == EPoly.const(2, 1)
+    assert jacobian([x1 * x2, x1 + x2]) == x2 - x1
+    y1, y2, y3 = (EPoly.var(3, j) for j in range(3))
+    assert jacobian([y2, y1, y3]) == -1
+    assert (jacobian([y1 * y2 + y3, y2.exp() - 1, y1 - y3])
+            == -(y2 + 1) * y2.exp())
     with pytest.raises(VariableCountError):
         jacobian([x1])
 

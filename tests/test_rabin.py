@@ -66,6 +66,14 @@ class TestCertificates:
         power = extract_power(cert, hs, g)
         assert power.d == 0 and power.verified
 
+    def test_zero_g_takes_a_positive_power(self):
+        # 0^0 = 1 is not a combination of X1; 0^1 = 0 * X1 is.
+        for hs in ([X], [X, X.exp() - 1]):
+            cert = one_certificate(hs, EPoly.zero(1))
+            power = extract_power(cert, hs, EPoly.zero(1))
+            assert power.d == 1 and power.verified
+            assert all(c.is_zero() for c in power.cofactors)
+
     def test_power_needed(self):
         # g = X1 vanishes where X1^2 does, but only g^2 is in the ideal.
         cert = one_certificate([X * X], X)
