@@ -9,8 +9,7 @@ pipeline.
 
 from .epoly import EPoly, ord_reduce
 from .ordinals import OrdinalCNF
-from .scalars import (BaseField, GAUSSIAN_RATIONALS, GaussianRational,
-                      IMAG_UNIT, RATIONALS, gaussian)
+from .scalars import GaussianRational, IMAG_UNIT, gaussian
 from .errors import (BudgetExceededError, ExpolyError, InternalError,
                      ParseError, PartialityError, PreconditionError,
                      VariableCountError)
@@ -20,22 +19,22 @@ from .ediff import (DerivationSpec, apply_derivation, jacobian,
 from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .ideals import (IdealHandle, LaurentPresentation, MembershipResult,
-                     augmentation, augmentation_mod, present)
+                     present)
 from .tower import (DaggerReport, SaturationOutcome, TowerIdeal,
-                    TrackedDecomposition, dagger_check, real_kernel_check,
-                    rewrite, rewrite_expand, saturate_level_one, split_tilde)
+                    TrackedDecomposition, augmentation, augmentation_mod,
+                    dagger_check, real_kernel_check, rewrite, rewrite_expand,
+                    saturate_level_one)
 from .rabin import (CertificateResult, PipelineReport, PowerResult,
                     extract_power, nullstellensatz_pipeline, one_certificate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseField", "BudgetExceededError", "CertificateResult", "DaggerReport",
+    "BudgetExceededError", "CertificateResult", "DaggerReport",
     "DerivationSpec", "EPoly", "ExpolyError", "FloatPoint",
-    "GAUSSIAN_RATIONALS", "GaussianRational", "IMAG_UNIT", "IdealHandle",
-    "InternalError", "LaurentPresentation",
-    "MembershipResult", "OrdinalCNF", "ParseError", "PartialityError",
-    "PipelineReport", "PowerResult", "PreconditionError", "RATIONALS",
+    "GaussianRational", "IMAG_UNIT", "IdealHandle", "InternalError",
+    "LaurentPresentation", "MembershipResult", "OrdinalCNF", "ParseError",
+    "PartialityError", "PipelineReport", "PowerResult", "PreconditionError",
     "SaturationOutcome", "SeriesPoint", "TowerIdeal",
     "TrackedDecomposition", "TruncatedSeries", "VariableCountError",
     "apply_derivation", "augmentation", "augmentation_mod",
@@ -43,5 +42,5 @@ __all__ = [
     "gaussian", "jacobian", "khovanskii_check", "nullstellensatz_pipeline",
     "one_certificate", "ord_reduce", "parse_epoly", "parse_ideal_file",
     "partial_derivative", "present", "real_kernel_check", "rewrite",
-    "rewrite_expand", "saturate_level_one", "series_exp", "split_tilde",
+    "rewrite_expand", "saturate_level_one", "series_exp",
 ]

@@ -21,13 +21,14 @@ from .ediff import DerivationSpec, apply_derivation, jacobian, partial_derivativ
 from .epoly import EPoly, ord_reduce
 from .errors import (BudgetExceededError, ExpolyError, InternalError,
                      ParseError, PreconditionError, VariableCountError)
-from .ideals import IdealHandle, augmentation, augmentation_mod
+from .ideals import IdealHandle
 from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .rabin import nullstellensatz_pipeline
 from .scalars import parse_scalar
 from .textio import max_var_index, parse_epoly, parse_ideal_file
-from .tower import TowerIdeal, dagger_check, saturate_level_one
+from .tower import (TowerIdeal, augmentation, augmentation_mod, dagger_check,
+                    saturate_level_one)
 
 
 def _parse_exprs(texts, nvars):
@@ -424,16 +425,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_ord)
 
+    def model_point(p):
+        """Add the evaluation model and point options of eval and
+        khovanskii."""
+        p.add_argument("--model", choices=("series", "float"),
+                       default="series")
+        p.add_argument("--order", type=int, default=8,
+                       help="series truncation order (default 8)")
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="float-model zero tolerance")
+        p.add_argument("--at", required=True,
+                       help="point: per-variable groups separated by ';', "
+                            "series coefficients separated by ','")
+
     p = sub.add_parser("eval", help="evaluate in a model")
     p.add_argument("expr")
-    p.add_argument("--model", choices=("series", "float"), default="series")
-    p.add_argument("--order", type=int, default=8,
-                   help="series truncation order (default 8)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="float-model zero tolerance")
-    p.add_argument("--at", required=True,
-                   help="point: per-variable groups separated by ';', "
-                        "series coefficients separated by ','")
+    model_point(p)
     common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -455,10 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("khovanskii",
                        help="system vanishes with nonzero jacobian at a point")
     p.add_argument("exprs", nargs="+")
-    p.add_argument("--model", choices=("series", "float"), default="series")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--at", required=True)
+    model_point(p)
     common(p, vars_flag=False)
     p.set_defaults(func=cmd_khovanskii)
 
@@ -477,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aug", help="augmentation image (and kernel test)")
     p.add_argument("expr")
-    p.add_argument("--layer", type=int, default=1)
+    p.add_argument("--layer", type=_int_at_least(1, "layer"), default=1)
     p.add_argument("--ideal", default=None)
     common(p, budget=True)
     p.set_defaults(func=cmd_aug)

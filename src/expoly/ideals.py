@@ -14,6 +14,8 @@ elimination computes subring intersections.
 
 Verdicts are relative to the lattice slice: queries whose exponents fall
 outside trigger a joint re-presentation with a refined primitive basis.
+The augmentation, which sums coefficients over a layer's group elements,
+lives in `tower`: it is the tower's rewriting image over an empty slice.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .epoly import EPoly, _term_key
-from .errors import (Budget, InternalError, PreconditionError,
-                     VariableCountError)
+from .errors import Budget, InternalError, VariableCountError
 from .linalg import (RationalEchelon, lattice_basis, solve_upper_integer,
                      vec_add)
 from .polyring import MonomialOrder, Poly, PolyRing, buchberger
@@ -307,8 +308,8 @@ class IdealHandle:
         gb = self._basis(pres, pres.ring.with_order(
             MonomialOrder(pres.ring.nvars, block=tuple(eliminated))))
         kept = [e for e in gb.elements if not e.uses_vars(eliminated)]
-        gens = tuple(pres.decode(Poly(pres.ring, e.terms)) for e in kept)
-        return self._sharing(g for g in gens if not g.is_zero())
+        gens = (pres.decode(e) for e in kept)
+        return self._sharing(g for g in gens if g)
 
     def _sharing(self, gens) -> "IdealHandle":
         """A handle on other generators that spends this handle's budget."""
@@ -322,37 +323,3 @@ class IdealHandle:
     def __repr__(self):
         return f"IdealHandle([{', '.join(str(g) for g in self.gens)}])"
 
-
-def augmentation(u: EPoly, layer: int) -> EPoly:
-    """The coefficient-sum map on the layer's group part.
-
-    Every group element t^a with a in the top layer collapses to 1: in flat
-    form the layer-(layer-1) component of each exponent is erased.  Requires
-    u in R_layer and layer >= 1.
-    """
-    if layer < 1:
-        raise PreconditionError("augmentation needs a group layer >= 1")
-    if u.height() > layer:
-        raise PreconditionError(
-            f"augmentation at layer {layer} needs input in R_{layer}, "
-            f"got height {u.height()}")
-    pairs = []
-    for (mono, exponent), coeff in u.terms:
-        if exponent is not None:
-            component = exponent.layer_component(layer - 1)
-            if component:
-                exponent = _nonzero_or_none(exponent - component)
-        pairs.append(((mono, exponent), coeff))
-    return EPoly(u.nvars, pairs)
-
-
-def _nonzero_or_none(p: EPoly):
-    return None if p.is_zero() else p
-
-
-def augmentation_mod(u: EPoly, ideal: IdealHandle, layer: int
-                     ) -> tuple[EPoly, bool]:
-    """Image under the augmentation followed by reduction mod the ideal:
-    returns (image, image in ideal), i.e. whether u lies in the kernel."""
-    image = augmentation(u, layer)
-    return image, ideal.membership(image).member

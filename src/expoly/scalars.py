@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError, PartialityError
+from .errors import ParseError
 
 
 class GaussianRational:
@@ -200,47 +200,3 @@ def _parse_rational(s: str) -> int | Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed rational literal {s!r}") from exc
 
-
-class BaseField:
-    """Descriptor for one of the supported base fields, Q or Q(i).
-
-    The exponential domain A(R) is {0} on both: no nontrivial exact
-    exponential exists on these fields, so E is total only on zero.
-    """
-
-    __slots__ = ("tag",)
-
-    def __init__(self, tag):
-        if tag not in ("Q", "Q_i"):
-            raise ValueError(f"unknown base field tag {tag!r}")
-        self.tag = tag
-
-    def exp(self, a):
-        """The partial exponential on A(R) = {0}: defined only at zero."""
-        if as_scalar(a) != 0:
-            raise PartialityError(
-                f"E undefined on base-field element {format_scalar(a)}: "
-                "exponential domain is {0}"
-            )
-        return 1
-
-    def contains(self, c) -> bool:
-        if self.tag == "Q":
-            return not isinstance(c, GaussianRational)
-        return True
-
-    def sample(self, rng, span=20):
-        num = rng.randint(-span, span)
-        den = rng.randint(1, span)
-        re = scalar_div(num, den)
-        if self.tag == "Q":
-            return re
-        return gaussian(re, scalar_div(rng.randint(-span, span),
-                                       rng.randint(1, span)))
-
-    def __repr__(self):
-        return f"BaseField({self.tag!r})"
-
-
-RATIONALS = BaseField("Q")
-GAUSSIAN_RATIONALS = BaseField("Q_i")

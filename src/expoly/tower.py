@@ -6,9 +6,10 @@ of (tracked ideal slice) + (complement), sum the coefficients, and test the
 sum at level n.  The tracked slice is a finite list of zero-constant ideal
 elements whose top-layer projections are Q-independent; it is refreshed
 lazily when a query meets a complement direction that itself belongs to the
-level ideal.  All guarantees ((dagger), properness, level consistency) are
-relative to the tracked slice, which is exactly what the finite computation
-can certify.
+level ideal.  The plain augmentation is the same image over an empty slice.
+All guarantees ((dagger), properness, level consistency) are relative to
+the tracked slice, which is exactly what the finite computation can
+certify.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import NamedTuple
 
 from .epoly import EPoly, term_layer
 from .errors import InternalError, PreconditionError
-from .ideals import (IdealHandle, augmentation_mod, _coord_key,
-                     _coords_epoly, _epoly_coords)
+from .ideals import IdealHandle, _coord_key, _coords_epoly, _epoly_coords
 from .linalg import RationalEchelon, integer_kernel
 from .scalars import scalar_im, scalar_re
 
@@ -29,11 +29,6 @@ class TrackedSeed(NamedTuple):
     element: EPoly      # zero-constant member of the layer ideal
     projection: EPoly   # its top-layer (layer n) component, nonzero
     lower: EPoly        # element - projection, in R_{n-1}
-
-
-class SeedRejected(NamedTuple):
-    element: EPoly
-    reason: str
 
 
 class TrackedDecomposition:
@@ -83,25 +78,6 @@ class TrackedDecomposition:
         fhat_lower = EPoly.combination(
             self.nvars, ((seed.lower, lam) for seed, lam in scaled))
         return a1, fhat, fhat_lower
-
-
-def split_tilde(ideal: IdealHandle, layer: int, seeds
-                ) -> tuple[TrackedDecomposition, list[SeedRejected]]:
-    """Greedy tracked decomposition from candidate ideal elements.
-
-    Seeds failing membership (or outside the exponential domain, or with
-    dependent projections) are rejected with a report.
-    """
-    dec = TrackedDecomposition(layer, ideal.nvars)
-    rejected = []
-    for f in seeds:
-        if not ideal.membership(f).member:
-            rejected.append(SeedRejected(f, "fails membership in the ideal"))
-            continue
-        reason = dec.try_add(f)
-        if reason is not None:
-            rejected.append(SeedRejected(f, reason))
-    return dec, rejected
 
 
 class RewriteTerm(NamedTuple):
@@ -169,6 +145,38 @@ def rewrite_expand(terms, nvars: int) -> EPoly:
     """Exact re-expansion sum r_i * E(u_i) of a rewriting."""
     return EPoly.combination(nvars, ((t.coefficient, t.argument.exp())
                                      for t in terms))
+
+
+def _image(terms, nvars: int) -> EPoly:
+    """The coefficient sum r_1 + ... + r_k of a rewriting: E(u_i) -> 1."""
+    if len(terms) == 1:
+        return terms[0].coefficient
+    return EPoly(nvars, (pair for t in terms for pair in t.coefficient.terms))
+
+
+def augmentation(u: EPoly, layer: int) -> EPoly:
+    """The coefficient-sum map on the layer's group part.
+
+    Every group element t^a with a in the top layer collapses to 1: the
+    image of the rewriting over an empty tracked slice at layer - 1.
+    Requires u in R_layer and layer >= 1.
+    """
+    if layer < 1:
+        raise PreconditionError("augmentation needs a group layer >= 1")
+    if u.height() > layer:
+        raise PreconditionError(
+            f"augmentation at layer {layer} needs input in R_{layer}, "
+            f"got height {u.height()}")
+    empty = TrackedDecomposition(layer - 1, u.nvars)
+    return _image(rewrite(u, empty), u.nvars)
+
+
+def augmentation_mod(u: EPoly, ideal: IdealHandle, layer: int
+                     ) -> tuple[EPoly, bool]:
+    """Image under the augmentation followed by reduction mod the ideal:
+    returns (image, image in ideal), i.e. whether u lies in the kernel."""
+    image = augmentation(u, layer)
+    return image, ideal.membership(image).member
 
 
 @dataclass
@@ -254,27 +262,15 @@ class TowerIdeal:
         if level == self.base_layer:
             return self.base.membership(p).member
         dec = self.decomposition(level - 1)
-        while True:
+        # Lazy slice refresh: a complement direction that is itself an
+        # ideal element joins the tracked span, and p is rewritten again.
+        terms = rewrite(p, dec)
+        while any(t.complement_part
+                  and self.membership(t.complement_part, level - 1)
+                  and dec.try_add(t.complement_part) is None
+                  for t in terms):
             terms = rewrite(p, dec)
-            refreshed = False
-            for term in terms:
-                a1 = term.complement_part
-                if a1.is_zero():
-                    continue
-                # Lazy slice refresh: a complement direction that is itself
-                # an ideal element belongs in the tracked span.
-                if self.membership(a1, level - 1):
-                    reason = dec.try_add(a1)
-                    refreshed = reason is None
-                    if refreshed:
-                        break
-            if not refreshed:
-                break
-        if len(terms) == 1:
-            image = terms[0].coefficient
-        else:
-            image = EPoly(p.nvars, (pair for term in terms
-                                    for pair in term.coefficient.terms))
+        image = _image(terms, p.nvars)
         return self.membership(image, level - 1)
 
     def extend_one_step(self, seeds=None) -> "TowerIdeal":
@@ -350,7 +346,6 @@ class SaturationOutcome:
     generators: tuple                 # final generator list
     added: tuple                      # exponential generators introduced
     rounds: int
-    ideal: IdealHandle | None = None
     certificate: tuple | None = None  # cofactors of 1 over `generators`
     dagger: DaggerReport | None = None
 
@@ -400,7 +395,7 @@ def saturate_level_one(ideal: IdealHandle, max_rounds: int = 64
         if not fresh:
             return SaturationOutcome(
                 status="stabilized", generators=work.gens,
-                added=tuple(added), rounds=round_no, ideal=work,
+                added=tuple(added), rounds=round_no,
                 dagger=dagger_check(work, 1))
         added.extend(fresh)
         work = ideal._sharing(work.gens + tuple(fresh))
@@ -433,19 +428,16 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
                     columns.setdefault((mono, part), len(columns))
                     row[columns[(mono, part)]] = val
         rows.append(row)
-    if not columns:
-        kernel = [[1 if i == j else 0 for j in range(len(directions))]
-                  for i in range(len(directions))]
-    else:
-        # Scale each column to integers; column scaling keeps the kernel.
-        ncols = len(columns)
-        dense = [[rows[i].get(j, 0) for j in range(ncols)]
-                 for i in range(len(directions))]
-        for j in range(ncols):
-            denom = math.lcm(*(row[j].denominator for row in dense))
-            for i in range(len(dense)):
-                dense[i][j] = int(dense[i][j] * denom)
-        kernel = integer_kernel(dense)
+    # Scale each column to integers; column scaling keeps the kernel.  With
+    # no columns every direction is in the cut: the kernel is the identity.
+    ncols = len(columns)
+    dense = [[rows[i].get(j, 0) for j in range(ncols)]
+             for i in range(len(directions))]
+    for j in range(ncols):
+        denom = math.lcm(*(row[j].denominator for row in dense))
+        for i in range(len(dense)):
+            dense[i][j] = int(dense[i][j] * denom)
+    kernel = integer_kernel(dense)
     out = []
     for x in kernel:
         element = EPoly.combination(cut.nvars, zip(directions, x))

@@ -272,6 +272,8 @@ def test_smallest_counts_are_accepted(capsys, ideal_file):
     ["intersect", "--layer", "-5"],
     ["dagger", "--layer", "-2"],
     ["dagger", "--layer", "one"],
+    ["aug", "X1", "--layer", "-1"],
+    ["aug", "X1", "--layer", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_exit_code_layer_below_zero(capsys, ideal_file, argv):
     """A layer below 0 does not exist: a usage error, not a vacuous
@@ -301,6 +303,8 @@ def test_lowest_layer_is_accepted(capsys, ideal_file):
     assert code == 0 and out == "X1\n"
     code, out, _ = run(capsys, "dagger", "--ideal", path, "--layer", "0")
     assert code == 0 and out.startswith("layer 0: ")
+    code, out, _ = run(capsys, "aug", "E(X1)", "--layer", "1")
+    assert code == 0 and out == "1\n"
 
 
 @pytest.mark.parametrize("query", ["X1^\u00b2", "\u00b2*X1", "X\u00b9"])

@@ -4,14 +4,21 @@ import random
 import pytest
 
 from expoly import (EPoly, IdealHandle, PreconditionError, TowerIdeal,
-                    dagger_check, real_kernel_check, rewrite, rewrite_expand,
-                    saturate_level_one, split_tilde)
-from expoly.tower import TrackedDecomposition
+                    TrackedDecomposition, dagger_check, real_kernel_check,
+                    rewrite, rewrite_expand, saturate_level_one)
 
 from helpers import random_epoly, random_zero_const
 
 X = EPoly.var(1, 0)
 ONE = EPoly.const(1, 1)
+
+
+def _tracked(layer, nvars, *seeds):
+    """A tracked slice at `layer` that accepts every seed."""
+    dec = TrackedDecomposition(layer, nvars)
+    for f in seeds:
+        assert dec.try_add(f) is None
+    return dec
 
 
 class TestDagger:
@@ -35,32 +42,37 @@ class TestDagger:
 
 
 class TestSplitTilde:
+    """The tracked slice of a level ideal, built seed by seed."""
+
     def test_single_seed(self):
-        dec, rejected = split_tilde(IdealHandle([X]), 0, [X])
+        dec = _tracked(0, 1, X)
         assert [s.element for s in dec.seeds] == [X]
         assert [s.lower for s in dec.seeds] == [EPoly.zero(1)]
-        assert rejected == []
 
     def test_dependent_seed_rejected(self):
-        dec, rejected = split_tilde(IdealHandle([X]), 0, [X, 2 * X])
+        dec = _tracked(0, 1, X)
+        assert "depends Q-linearly" in dec.try_add(2 * X)
         assert [s.element for s in dec.seeds] == [X]
-        assert len(rejected) == 1 and rejected[0].element == 2 * X
 
     def test_span_membership(self):
         x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
-        ideal = IdealHandle([x1, x2 * x2])
-        dec, rejected = split_tilde(ideal, 0, [x1, x2 * x2, x1 + x2 * x2])
+        dec = _tracked(0, 2, x1, x2 * x2)
+        assert "depends Q-linearly" in dec.try_add(x1 + x2 * x2)
         assert [s.element for s in dec.seeds] == [x1, x2 * x2]
-        assert len(rejected) == 1
 
     def test_non_member_rejected(self):
-        _, rejected = split_tilde(IdealHandle([X]), 0, [X + 1])
-        assert rejected and "membership" in rejected[0].reason
+        # try_add leaves membership to the caller: extending a tower
+        # refuses a seed outside the level ideal.
+        tower = TowerIdeal(IdealHandle([X * X]))
+        with pytest.raises(PreconditionError, match="fails membership"):
+            tower.extend_one_step(seeds=[X])
+        reason = TrackedDecomposition(0, 1).try_add(X + 1)
+        assert reason.startswith("nonzero constant term")
 
 
 class TestRewrite:
     def test_tracked_direction(self):
-        dec, _ = split_tilde(IdealHandle([X]), 0, [X])
+        dec = _tracked(0, 1, X)
         terms = rewrite(X.exp(), dec)
         assert [(t.coefficient, t.argument) for t in terms] == [(ONE, X)]
 
@@ -72,7 +84,7 @@ class TestRewrite:
 
     def test_mixed_argument(self):
         x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
-        dec, _ = split_tilde(IdealHandle([x1]), 0, [x1])
+        dec = _tracked(0, 2, x1)
         terms = rewrite((x1 + x2).exp(), dec)
         assert len(terms) == 1
         assert terms[0].coefficient == EPoly.const(2, 1)
@@ -84,8 +96,7 @@ class TestRewrite:
         # lower part): rewriting the group element of its projection must
         # absorb E(-X1) into the coefficient.
         f = X + X.exp() - (2 * X).exp()
-        dec, rejected = split_tilde(IdealHandle([f]), 1, [f])
-        assert not rejected
+        dec = _tracked(1, 1, f)
         proj = f.layer_component(1)           # E(X1) - E(2*X1)
         group_elem = proj.exp()
         terms = rewrite(group_elem, dec)
@@ -98,8 +109,7 @@ class TestRewrite:
     def test_round_trip_sampled(self):
         rng = random.Random(3141)
         x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
-        ideal = IdealHandle([x1, x2 * x2])
-        dec, _ = split_tilde(ideal, 0, [x1, x2 * x2])
+        dec = _tracked(0, 2, x1, x2 * x2)
         empty = TrackedDecomposition(0, 2)
         for _ in range(250):
             u = random_epoly(rng, 2, height=1)
@@ -112,7 +122,7 @@ class TestRewrite:
     def test_phi_is_ring_homomorphism(self):
         rng = random.Random(59)
         x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
-        dec, _ = split_tilde(IdealHandle([x1]), 0, [x1])
+        dec = _tracked(0, 2, x1)
 
         def phi(u):
             total = EPoly.zero(2)

@@ -5,10 +5,12 @@ reference: `TrackedDecomposition.split` building both span elements even
 when the query meets no tracked coordinate, `in_span`, `rewrite` rebuilding
 every carrier and multiplying by E(-fhat_lower) even when it is 1, and
 `TowerIdeal.membership` testing every complement part with `in_span` and
-rebuilding the image.  The only edits are that the methods became
-functions of their former `self` and call one another by their `ref_`
-names.  The current code must give the same verdicts, the same rewrite
-term lists and the same tracked seeds after every query.
+rebuilding the image, and the augmentation that erased each exponent's
+top-layer component term by term.  The only edits are that the methods
+became functions of their former `self` and that the functions call one
+another by their `ref_` names.  The current code must give the same
+verdicts, the same rewrite term lists and the same tracked seeds after
+every query, and the same augmentation images and errors.
 """
 
 from fractions import Fraction
@@ -23,7 +25,9 @@ from expoly.epoly import term_layer  # noqa: E402
 from expoly.errors import InternalError, PreconditionError  # noqa: E402
 from expoly.ideals import _coords_epoly, _epoly_coords  # noqa: E402
 from expoly.tower import (RewriteTerm, TrackedDecomposition,  # noqa: E402
-                          rewrite)
+                          augmentation, rewrite)
+
+from helpers import random_epoly  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -133,6 +137,33 @@ def ref_membership(self, p: EPoly, level: int | None = None) -> bool:
     image = EPoly(p.nvars, (pair for term in terms
                             for pair in term.coefficient.terms))
     return ref_membership(self, image, level - 1)
+
+
+def ref_augmentation(u: EPoly, layer: int) -> EPoly:
+    """The coefficient-sum map on the layer's group part.
+
+    Every group element t^a with a in the top layer collapses to 1: in flat
+    form the layer-(layer-1) component of each exponent is erased.  Requires
+    u in R_layer and layer >= 1.
+    """
+    if layer < 1:
+        raise PreconditionError("augmentation needs a group layer >= 1")
+    if u.height() > layer:
+        raise PreconditionError(
+            f"augmentation at layer {layer} needs input in R_{layer}, "
+            f"got height {u.height()}")
+    pairs = []
+    for (mono, exponent), coeff in u.terms:
+        if exponent is not None:
+            component = exponent.layer_component(layer - 1)
+            if component:
+                exponent = ref_nonzero_or_none(exponent - component)
+        pairs.append(((mono, exponent), coeff))
+    return EPoly(u.nvars, pairs)
+
+
+def ref_nonzero_or_none(p: EPoly):
+    return None if p.is_zero() else p
 
 
 # -- strategies -------------------------------------------------------------
@@ -266,3 +297,29 @@ def test_split_matches_reference_and_leaves_no_span_part(case):
         residual, row_coeffs = dec._echelon.row_coords(coords)
         assert residual == coords and not any(row_coeffs)
         assert not ref_in_span(dec, a1)
+
+
+@st.composite
+def augmentation_cases(draw):
+    """A value with Gaussian coefficients and height up to 3, and a layer
+    from -1 to 4: in range, below 1, or below the value's height."""
+    rng = draw(st.randoms(use_true_random=False))
+    u = random_epoly(rng, draw(st.integers(1, 2)),
+                     height=draw(st.integers(0, 3)), gaussian_ok=True)
+    return u, draw(st.integers(-1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(augmentation_cases())
+def test_augmentation_matches_reference(case):
+    u, layer = case
+    try:
+        expected = ref_augmentation(u, layer)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as info:
+            augmentation(u, layer)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    image = augmentation(u, layer)
+    assert image == expected and str(image) == str(expected)
