@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (partiality, precondition violation),
-2 step budget exceeded (`--budget` counts every reduction step of the
-command), 3 I/O or syntax error (a usage error included), 4 internal error
-(a failed consistency check such as a certificate that does not
-re-expand).  `--json` switches every subcommand but `demo` to
-machine-readable output.
+Exit codes: 0 success, 1 domain error (partiality, precondition violation,
+a float-model value outside the float range, terms or tower levels nested
+deeper than the recursion limit), 2 step budget exceeded (`--budget`
+counts every reduction step of the command), 3 I/O or syntax error (a
+usage error or a file that is not UTF-8 included), 4 internal error (a
+failed consistency check such as a certificate that does not re-expand).
+`--json` switches every subcommand but `demo` to machine-readable output.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ def cmd_eval(args, out):
         else:
             out(str(value))
     else:
+        value = FloatPoint.finite(value)
         if args.json:
             out(json.dumps({"model": "float", "re": value.real,
                             "im": value.imag}))
@@ -523,10 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# Exit code of each error kind, most specific first.
+# Exit code of each error kind, most specific first.  A file that is not
+# UTF-8 text is an I/O error.  A number too large for a float or an index
+# (such as a float-model value) and a nesting of terms or tower levels
+# deeper than the recursion limit are domain errors.
 _EXIT_CODES = ((BudgetExceededError, 2),
-               ((ParseError, OSError, json.JSONDecodeError), 3),
-               (InternalError, 4), (ExpolyError, 1))
+               ((ParseError, OSError, UnicodeDecodeError,
+                 json.JSONDecodeError), 3),
+               (InternalError, 4),
+               ((ExpolyError, OverflowError, RecursionError), 1))
 
 
 def main(argv=None) -> int:
@@ -538,7 +545,8 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args, out)
-    except (ExpolyError, OSError, json.JSONDecodeError) as exc:
+    except (ExpolyError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+            OverflowError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kinds, code in _EXIT_CODES
                     if isinstance(exc, kinds))

@@ -21,7 +21,6 @@ lives in `tower`: it is the tower's rewriting image over an empty slice.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .epoly import EPoly, _term_key
@@ -29,7 +28,7 @@ from .errors import Budget, InternalError, VariableCountError
 from .linalg import (RationalEchelon, lattice_basis, solve_upper_integer,
                      vec_add)
 from .polyring import MonomialOrder, Poly, PolyRing, buchberger
-from .scalars import gaussian, scalar_im, scalar_re
+from .scalars import gaussian, scalar_div, scalar_im, scalar_re
 
 
 def _coord_key(label):
@@ -37,16 +36,17 @@ def _coord_key(label):
     return (_term_key(label[0]), label[1])
 
 
-def _epoly_coords(p: EPoly) -> dict:
-    """Q-vector coordinates of a value: one label per term and re/im part.
-    The entries are Fractions, as `linalg` vectors are."""
+def _coords(pairs) -> dict:
+    """Q-vector coordinates of (key, scalar) pairs, such as a value's
+    terms: one label (key, 0) for each nonzero real part and (key, 1) for
+    each nonzero imaginary part, in the order of the pairs."""
     out = {}
-    for key, coeff in p.terms:
+    for key, coeff in pairs:
         re, im = scalar_re(coeff), scalar_im(coeff)
         if re:
-            out[(key, 0)] = Fraction(re)
+            out[(key, 0)] = re
         if im:
-            out[(key, 1)] = Fraction(im)
+            out[(key, 1)] = im
     return out
 
 
@@ -95,7 +95,7 @@ class LaurentPresentation:
         """Integer coordinates over the directions, or None if not covered."""
         if exponent is None:
             return [0] * len(self.directions)
-        residual, coeffs = self._echelon.row_coords(_epoly_coords(exponent))
+        residual, coeffs = self._echelon.row_coords(_coords(exponent.terms))
         if residual:
             return None
         target = [value * self._denom for value in coeffs]
@@ -173,14 +173,13 @@ def present(ps, nvars: int | None = None) -> LaurentPresentation:
                 for component in exponent.layer_decompose():
                     if component:
                         seen[component] = None
-    components = sorted(seen, key=EPoly.height)
-
+    vectors = [_coords(c.terms) for c in sorted(seen, key=EPoly.height)]
     echelon = RationalEchelon(coord_order=_coord_key)
-    for component in components:
-        echelon.insert(_epoly_coords(component))
+    for vec in vectors:
+        echelon.insert(vec)
     coord_rows = []
-    for component in components:
-        residual, row = echelon.row_coords(_epoly_coords(component))
+    for vec in vectors:
+        residual, row = echelon.row_coords(vec)
         if residual:
             raise InternalError(
                 "internal error: a presented exponent component lies "
@@ -196,7 +195,7 @@ def present(ps, nvars: int | None = None) -> LaurentPresentation:
         for j, entry in enumerate(hrow):
             if entry:
                 coords = vec_add(coords, echelon.rows[j],
-                                 Fraction(entry, denom))
+                                 scalar_div(entry, denom))
         epoly = _coords_epoly(coords, nvars)
         directions.append(LatticeDirection(epoly, epoly.height() + 1))
     return LaurentPresentation(nvars, directions, echelon, denom, hermite)

@@ -1,29 +1,22 @@
 """Exact linear algebra over Q and Z used by the exponent-lattice code.
 
-Vectors are dicts {coordinate: Fraction} over an arbitrary hashable
+Vectors are dicts {coordinate: scalar} over an arbitrary hashable
 coordinate set, holding nonzero entries only: `vec_add` folds through
-`sparse.accumulate`, which drops every entry that cancels.  Entries must be
-Fractions, not ints: `RationalEchelon.insert` inverts a pivot entry with
-`/`, which on an int would give a float.  Matrices for the
+`sparse.accumulate`, which drops every entry that cancels.  Entries are
+canonical scalars (see `scalars`); the one division, a pivot's inverse,
+goes through `scalar_inv`, so int vectors stay exact.  Matrices for the
 integer routines are lists of lists.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .scalars import scalar_inv
 from .sparse import accumulate
 
 
-def vec_add(a: dict, b: dict, scale=Fraction(1)) -> dict:
+def vec_add(a: dict, b: dict, scale=1) -> dict:
     """a + scale * b as a new vector."""
     return accumulate(((k, v * scale) for k, v in b.items()), into=dict(a))
-
-
-def vec_scale(a: dict, scale) -> dict:
-    if scale == 0:
-        return {}
-    return {k: v * scale for k, v in a.items()}
 
 
 class RationalEchelon:
@@ -73,8 +66,8 @@ class RationalEchelon:
         if not residual:
             return False, coeffs
         pivot = self._pick_pivot(residual)
-        inv = 1 / residual[pivot]
-        row = vec_scale(residual, inv)
+        inv = scalar_inv(residual[pivot])
+        row = {k: v * inv for k, v in residual.items()}
         # residual = vec - sum coeffs_i * inserted_i, so the normalized row
         # is inv*vec - sum inv*coeffs_i * inserted_i.
         expr = vec_add({self.count: inv}, coeffs, -inv)

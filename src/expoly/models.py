@@ -81,9 +81,12 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = TruncatedSeries.const(1, self.order)
-        for _ in range(k):
-            out = out * self
+        """self^k by square-and-multiply."""
+        out, base = TruncatedSeries.const(1, self.order), self
+        while k > 0:
+            if k & 1:
+                out = out * base
+            base, k = base * base, k >> 1
         return out
 
     def __eq__(self, other):
@@ -185,8 +188,16 @@ class FloatPoint:
     def exp(self, v, node: EPoly):
         return cmath.exp(v)
 
+    @staticmethod
+    def finite(v: complex) -> complex:
+        """v itself; an infinite or NaN value is a domain error."""
+        if not cmath.isfinite(v):
+            raise PreconditionError(
+                f"float-model value {v} lies outside the float range")
+        return v
+
     def is_zero(self, v) -> bool:
-        return abs(v) <= self.tolerance
+        return abs(self.finite(v)) <= self.tolerance
 
 
 def eval_epoly(p: EPoly, point):
@@ -199,8 +210,8 @@ def eval_epoly(p: EPoly, point):
     for (mono, exponent), coeff in p.terms:
         acc = point.lift(coeff)
         for j, e in enumerate(mono):
-            for _ in range(e):
-                acc = acc * point.values[j]
+            if e:
+                acc = acc * point.values[j] ** e
         if exponent is not None:
             acc = acc * point.exp(eval_epoly(exponent, point), exponent)
         total = acc if total is None else total + acc

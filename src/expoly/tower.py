@@ -20,15 +20,16 @@ from typing import NamedTuple
 
 from .epoly import EPoly, term_layer
 from .errors import InternalError, PreconditionError
-from .ideals import IdealHandle, _coord_key, _coords_epoly, _epoly_coords
+from .ideals import IdealHandle, _coord_key, _coords, _coords_epoly
 from .linalg import RationalEchelon, integer_kernel
-from .scalars import scalar_im, scalar_re
+
+# Saturation rounds before `saturate_level_one` gives up.
+_MAX_SATURATION_ROUNDS = 64
 
 
 class TrackedSeed(NamedTuple):
     element: EPoly      # zero-constant member of the layer ideal
-    projection: EPoly   # its top-layer (layer n) component, nonzero
-    lower: EPoly        # element - projection, in R_{n-1}
+    lower: EPoly        # element minus its nonzero layer-n part, in R_{n-1}
 
 
 class TrackedDecomposition:
@@ -54,30 +55,27 @@ class TrackedDecomposition:
         projection = f.layer_component(self.layer)
         if projection.is_zero():
             return f"zero layer-{self.layer} projection"
-        independent, _ = self._echelon.insert(_epoly_coords(projection))
+        independent, _ = self._echelon.insert(_coords(projection.terms))
         if not independent:
             return "projection depends Q-linearly on the tracked span"
-        self.seeds.append(TrackedSeed(f, projection, f - projection))
+        self.seeds.append(TrackedSeed(f, f - projection))
         return None
 
     def split(self, a: EPoly):
         """Decompose a pure layer-n exponent a = a0 + a1 with a0 in the
-        tracked projection span; returns (a1, fhat, fhat_lower) where fhat
-        is the unique tracked-span ideal element with projection a0.
+        tracked projection span; returns (a1, fhat_lower), where fhat =
+        a0 + fhat_lower is the unique tracked-span ideal element with
+        projection a0.
 
         a1 is reduced against every tracked pivot, so a nonzero a1 never
         lies in the tracked span."""
-        residual, coeffs = self._echelon.reduce(_epoly_coords(a))
+        residual, coeffs = self._echelon.reduce(_coords(a.terms))
         if not coeffs:
-            zero = EPoly.zero(self.nvars)
-            return a, zero, zero
-        a1 = _coords_epoly(residual, self.nvars)
-        scaled = [(self.seeds[idx], lam) for idx, lam in coeffs.items()]
-        fhat = EPoly.combination(
-            self.nvars, ((seed.element, lam) for seed, lam in scaled))
+            return a, EPoly.zero(self.nvars)
         fhat_lower = EPoly.combination(
-            self.nvars, ((seed.lower, lam) for seed, lam in scaled))
-        return a1, fhat, fhat_lower
+            self.nvars, ((self.seeds[idx].lower, lam)
+                         for idx, lam in coeffs.items()))
+        return _coords_epoly(residual, self.nvars), fhat_lower
 
 
 class RewriteTerm(NamedTuple):
@@ -90,10 +88,12 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
     """Unique rewriting of u in R_n[t^{A_n}] as sum r_i * E(u_i).
 
     Terms are grouped by the layer-n component a of their exponent; each
-    group key splits as a = a0 + a1 against the tracked span, the matching
-    span element fhat is exponentiated, and the coefficient absorbs
-    E(-fhat_lower) so that t^a = E(-fhat_lower) * E(fhat) * t^{a1} exactly.
-    The arguments are pairwise distinct.
+    group key splits as a = a0 + a1 against the tracked span, where a0 is
+    the top part of the span element fhat = a0 + fhat_lower.  The argument
+    is fhat + a1 = a + fhat_lower, and the coefficient absorbs
+    E(-fhat_lower) so that t^a = E(-fhat_lower) * E(a + fhat_lower)
+    exactly.  Terms sharing a key differ in the rest of their monomial or
+    exponent, so no group cancels.  The arguments are pairwise distinct.
     """
     n = dec.layer
     if u.height() > n + 1:
@@ -127,13 +127,10 @@ def rewrite(u: EPoly, dec: TrackedDecomposition) -> list[RewriteTerm]:
     for key in sorted((k for k in groups if k is not None),
                       key=lambda k: k.sort_key):
         carrier = EPoly(u.nvars, groups[key])
-        if carrier.is_zero():
-            continue
-        a1, fhat, fhat_lower = dec.split(key)
-        argument = fhat + a1
-        coefficient = (carrier * (-fhat_lower).exp() if fhat_lower
-                       else carrier)
-        out.append(RewriteTerm(coefficient, argument, a1))
+        a1, fhat_lower = dec.split(key)
+        if fhat_lower:
+            carrier, key = carrier * (-fhat_lower).exp(), key + fhat_lower
+        out.append(RewriteTerm(carrier, key, a1))
     arguments = [t.argument for t in out]
     if len(set(arguments)) != len(arguments):
         raise InternalError("internal error: rewrite produced repeated "
@@ -327,13 +324,11 @@ class TowerIdeal:
         }
 
     @classmethod
-    def from_dict(cls, data: dict,
-                  budget_limit: int | None = 1_000_000) -> "TowerIdeal":
+    def from_dict(cls, data: dict) -> "TowerIdeal":
         if data.get("format") != "tower/1":
             raise ValueError(f"unsupported format {data.get('format')!r}")
         gens = [EPoly.from_dict(d) for d in data["generators"]]
-        tower = cls(IdealHandle(gens, budget_limit=budget_limit),
-                    base_layer=data["base_layer"])
+        tower = cls(IdealHandle(gens), base_layer=data["base_layer"])
         for level_seeds in data["tracked"]:
             tower.extend_one_step(
                 seeds=[EPoly.from_dict(d) for d in level_seeds])
@@ -354,8 +349,7 @@ class SaturationOutcome:
         return self.status == "stabilized"
 
 
-def saturate_level_one(ideal: IdealHandle, max_rounds: int = 64
-                       ) -> SaturationOutcome:
+def saturate_level_one(ideal: IdealHandle) -> SaturationOutcome:
     """Close a proper ideal of R_1 under f -> E(f) - 1 on its R_0 part.
 
     Each round intersects with R_0, finds every lattice direction lying in
@@ -372,7 +366,7 @@ def saturate_level_one(ideal: IdealHandle, max_rounds: int = 64
     nvars = ideal.nvars
     work = ideal._sharing(ideal.gens)
     added: list[EPoly] = []
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, _MAX_SATURATION_ROUNDS + 1):
         one = work.membership(EPoly.const(nvars, 1))
         if one.member:
             return SaturationOutcome(
@@ -400,7 +394,7 @@ def saturate_level_one(ideal: IdealHandle, max_rounds: int = 64
         added.extend(fresh)
         work = ideal._sharing(work.gens + tuple(fresh))
     raise PreconditionError(
-        f"saturation did not settle within {max_rounds} rounds")
+        f"saturation did not settle within {_MAX_SATURATION_ROUNDS} rounds")
 
 
 def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
@@ -416,27 +410,17 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
         return []
     pres = cut.presentation(also_cover=directions)
     gb = cut.groebner()
-    columns: dict = {}
-    rows = []
-    for b in directions:
-        encoded = pres.encode(b)
-        _, nf = gb.normal_form(encoded)
-        row = {}
-        for mono, coeff in nf.terms.items():
-            for part, val in ((0, scalar_re(coeff)), (1, scalar_im(coeff))):
-                if val:
-                    columns.setdefault((mono, part), len(columns))
-                    row[columns[(mono, part)]] = val
-        rows.append(row)
-    # Scale each column to integers; column scaling keeps the kernel.  With
-    # no columns every direction is in the cut: the kernel is the identity.
-    ncols = len(columns)
-    dense = [[rows[i].get(j, 0) for j in range(ncols)]
-             for i in range(len(directions))]
-    for j in range(ncols):
+    rows = [_coords(gb.normal_form(pres.encode(b))[1].terms.items())
+            for b in directions]
+    # Columns in order of first appearance.  Scale each column to integers;
+    # column scaling keeps the kernel.  With no columns every direction is
+    # in the cut: the kernel is the identity.
+    columns = list(dict.fromkeys(label for row in rows for label in row))
+    dense = [[row.get(label, 0) for label in columns] for row in rows]
+    for j in range(len(columns)):
         denom = math.lcm(*(row[j].denominator for row in dense))
-        for i in range(len(dense)):
-            dense[i][j] = int(dense[i][j] * denom)
+        for row in dense:
+            row[j] = int(row[j] * denom)
     kernel = integer_kernel(dense)
     out = []
     for x in kernel:

@@ -198,6 +198,54 @@ def test_member_large_power_parses_in_one_step(ideal_file):
     assert proc.stdout.splitlines()[0] == "true"
 
 
+def test_eval_large_power_squares():
+    """X1^k of a series takes O(log k) products, not k."""
+    proc = subprocess.run([sys.executable, "-m", "expoly", "eval",
+                           "X1^10000000", "--at", "0,1", "--order", "4"],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_exit_code_ideal_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "I.txt"
+    path.write_bytes(b"X1 - \xff\n")
+    code, out, err = run(capsys, "member", "--ideal", str(path), "X1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "X1", "--at", "1e400"],
+    ["eval", "X1^2000", "--at", "1.5"],
+    ["eval", "X1^100*X2^100", "--at", "1e3;1e3"],
+    ["eval", "E(X1^100)", "--at", "3"],
+    ["khovanskii", "X1^100*X2^100", "X2", "--at", "1e3;1e3"],
+], ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_exit_code_float_value_out_of_range(capsys, argv, json_flag):
+    """A float-model value outside the float range, an infinite or NaN
+    result included, is a domain error: nothing is printed, so neither
+    `nan` nor the non-JSON token NaN reaches the output."""
+    code, out, err = run(capsys, *argv, "--model", "float", *json_flag)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "E(" * 1500 + "X1" + ")" * 1500],
+    ["extend", "--levels", "1500", "--query", "X1"],
+], ids=["nested terms", "deep tower"])
+def test_exit_code_recursion_limit(capsys, ideal_file, argv):
+    """Nesting deeper than Python's recursion limit is a domain error."""
+    if argv[0] == "extend":
+        argv = [*argv, "--ideal", ideal_file("I.txt", "X1")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "recursion" in err
+
+
 def test_parse_term_products():
     assert parse_epoly("X1^0", 1) == 1
     assert parse_epoly("E(X1)*E(-X1)", 1) == 1

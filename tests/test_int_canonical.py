@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from expoly import EPoly, GaussianRational, parse_epoly  # noqa: E402
 from expoly.errors import Budget, BudgetExceededError  # noqa: E402
+from expoly.linalg import RationalEchelon, vec_add  # noqa: E402
 from expoly.polyring import (Poly, PolyRing, buchberger,  # noqa: E402
                              reduce_full)
 from expoly.scalars import gaussian, scalar_div, scalar_inv  # noqa: E402
@@ -91,6 +92,31 @@ def test_zero_divisors_raise():
             scalar_inv(zero)
         with pytest.raises(ZeroDivisionError):
             scalar_div(gaussian(1, 1), zero)
+
+
+# -- the exponent-span echelon ---------------------------------------------
+
+_INT_VECTORS = st.dictionaries(st.integers(0, 3),
+                               st.integers(-5, 5).filter(bool), max_size=4)
+
+
+@PROPERTY
+@given(st.lists(_INT_VECTORS, min_size=1, max_size=5))
+def test_echelon_keeps_int_vectors_exact(vectors):
+    """Pivots are inverted exactly, so int vectors leave no float in the
+    echelon rows, their expressions or the coefficients `reduce` returns,
+    and every vector re-expands exactly over the independent ones."""
+    echelon = RationalEchelon()
+    independents = [vec for vec in vectors if echelon.insert(vec)[0]]
+    tables = echelon.rows + echelon.expr
+    assert all(_exact(x) for table in tables for x in table.values())
+    for vec in vectors:
+        residual, coeffs = echelon.reduce(vec)
+        assert not residual and all(_exact(x) for x in coeffs.values())
+        total = {}
+        for i, c in coeffs.items():
+            total = vec_add(total, independents[i], c)
+        assert total == vec
 
 
 # -- the Groebner kernel --------------------------------------------------

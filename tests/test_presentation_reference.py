@@ -3,9 +3,11 @@
 `present` builds one echelon and one Hermite basis over the exponent
 components of all layers.  The per-layer construction below is the earlier
 one, kept verbatim as the reference: one echelon, denominator and Hermite
-basis per layer, solved layer by layer.  Both must give the same
-directions, the same `describe()` text and the same coordinates, or the
-same None, for every exponent, covered or not.
+basis per layer, solved layer by layer.  The one edit is that the
+coordinates of a value p, once `_epoly_coords(p)`, are spelled
+`_coords(p.terms)`.  Both must give the same directions, the same
+`describe()` text and the same coordinates, or the same None, for every
+exponent, covered or not.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from expoly import EPoly, present  # noqa: E402
 from expoly.errors import InternalError, VariableCountError  # noqa: E402
 from expoly.ideals import (LatticeDirection, _coord_key,  # noqa: E402
-                           _coords_epoly, _epoly_coords)
+                           _coords, _coords_epoly)
 from expoly.linalg import (RationalEchelon, lattice_basis,  # noqa: E402
                            solve_upper_integer, vec_add)
 
@@ -43,7 +45,7 @@ class _LayerLattice:
     def solve(self, component: EPoly):
         """Integer coordinates of the component over this layer's directions,
         or None when it falls outside the lattice slice."""
-        residual, coeffs = self.echelon.row_coords(_epoly_coords(component))
+        residual, coeffs = self.echelon.row_coords(_coords(component.terms))
         if residual:
             return None
         target = []
@@ -85,11 +87,11 @@ def reference_present(ps, nvars: int | None = None):
         components = per_layer[layer]
         echelon = RationalEchelon(coord_order=_coord_key)
         for component in components:
-            echelon.insert(_epoly_coords(component))
+            echelon.insert(_coords(component.terms))
         coord_rows = []
         denom = 1
         for component in components:
-            residual, coeffs = echelon.row_coords(_epoly_coords(component))
+            residual, coeffs = echelon.row_coords(_coords(component.terms))
             if residual:
                 raise InternalError(
                     "internal error: a presented exponent component lies "

@@ -7,10 +7,11 @@ every carrier and multiplying by E(-fhat_lower) even when it is 1, and
 `TowerIdeal.membership` testing every complement part with `in_span` and
 rebuilding the image, and the augmentation that erased each exponent's
 top-layer component term by term.  The only edits are that the methods
-became functions of their former `self` and that the functions call one
-another by their `ref_` names.  The current code must give the same
-verdicts, the same rewrite term lists and the same tracked seeds after
-every query, and the same augmentation images and errors.
+became functions of their former `self`, that the functions call one
+another by their `ref_` names, and that the coordinates of a value p, once
+`_epoly_coords(p)`, are spelled `_coords(p.terms)`.  The current code must
+give the same verdicts, the same rewrite term lists and the same tracked
+seeds after every query, and the same augmentation images and errors.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from expoly import EPoly, IdealHandle, TowerIdeal  # noqa: E402
 from expoly.epoly import term_layer  # noqa: E402
 from expoly.errors import InternalError, PreconditionError  # noqa: E402
-from expoly.ideals import _coords_epoly, _epoly_coords  # noqa: E402
+from expoly.ideals import _coords, _coords_epoly  # noqa: E402
 from expoly.tower import (RewriteTerm, TrackedDecomposition,  # noqa: E402
                           augmentation, rewrite)
 
@@ -38,7 +39,7 @@ def ref_split(self, a: EPoly):
     """Decompose a pure layer-n exponent a = a0 + a1 with a0 in the
     tracked projection span; returns (a1, fhat, fhat_lower) where fhat
     is the unique tracked-span ideal element with projection a0."""
-    residual, coeffs = self._echelon.reduce(_epoly_coords(a))
+    residual, coeffs = self._echelon.reduce(_coords(a.terms))
     a1 = _coords_epoly(residual, self.nvars)
     scaled = [(self.seeds[idx], lam) for idx, lam in coeffs.items()]
     fhat = EPoly(self.nvars, ((k, c * lam) for seed, lam in scaled
@@ -49,7 +50,7 @@ def ref_split(self, a: EPoly):
 
 
 def ref_in_span(self, a: EPoly) -> bool:
-    residual, _ = self._echelon.row_coords(_epoly_coords(a))
+    residual, _ = self._echelon.row_coords(_coords(a.terms))
     return not residual
 
 
@@ -277,7 +278,7 @@ def splits(draw):
         dec.try_add(f)
     a = draw(values(nvars, layer)).layer_component(layer)
     for seed in dec.seeds:
-        a = a + seed.projection * draw(_rationals())
+        a = a + seed.element.layer_component(layer) * draw(_rationals())
     assume(a)
     return dec, a
 
@@ -286,14 +287,14 @@ def splits(draw):
 @given(splits())
 def test_split_matches_reference_and_leaves_no_span_part(case):
     dec, a = case
-    a1, fhat, fhat_lower = dec.split(a)
-    assert (a1, fhat, fhat_lower) == ref_split(dec, a)
+    a1, fhat, fhat_lower = ref_split(dec, a)
+    assert dec.split(a) == (a1, fhat_lower)
     assert fhat.layer_component(dec.layer) + a1 == a
     assert fhat - fhat.layer_component(dec.layer) == fhat_lower
     if a1:
         # A nonzero complement part has no tracked-span component left:
         # row_coords returns it unchanged, so it is never in the span.
-        coords = _epoly_coords(a1)
+        coords = _coords(a1.terms)
         residual, row_coeffs = dec._echelon.row_coords(coords)
         assert residual == coords and not any(row_coeffs)
         assert not ref_in_span(dec, a1)
