@@ -1,12 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (partiality, precondition violation,
-a float-model value outside the float range, terms or tower levels nested
-deeper than the recursion limit), 2 step budget exceeded (`--budget`
-counts every reduction step of the command), 3 I/O or syntax error (a
-usage error or a file that is not UTF-8 included), 4 internal error (a
-failed consistency check such as a certificate that does not re-expand).
-`--json` switches every subcommand but `demo` to machine-readable output.
+a float-model value outside the float range, terms nested deeper than the
+recursion limit; a tower of any height answers), 2 step budget exceeded
+(`--budget` counts every reduction step of the command), 3 I/O or syntax
+error (a usage error such as a `--tol` that is not a finite number >= 0,
+or a file that is not UTF-8, included; an error in an ideal file names its
+line of the file), 4 internal error (a failed consistency check such as a
+certificate that does not re-expand).
+
+Each subcommand returns its `--json` document and its text lines; `main`
+alone prints one of them, or maps an error to its exit code.  `--json`
+switches every subcommand but `demo` to machine-readable output.
 """
 
 from __future__ import annotations
@@ -68,39 +73,31 @@ def _fmt_float(v) -> str:
     return f"{v.real:.6g}{v.imag:+.6g}i"
 
 
-def cmd_ord(args, out):
+def _true_false(flag) -> str:
+    return "true" if flag else "false"
+
+
+def cmd_ord(args):
     [p], _ = _parse_exprs([args.expr], args.vars)
     measure = p.complexity()
-    if args.json:
-        out(json.dumps({"ord": str(measure),
-                        "terms": [list(t) for t in measure.terms],
-                        "height": p.height(), "rank": p.rank()}))
-    else:
-        out(str(measure))
-    return 0
+    return ({"ord": str(measure), "terms": [list(t) for t in measure.terms],
+             "height": p.height(), "rank": p.rank()}, [str(measure)])
 
 
-def cmd_eval(args, out):
+def cmd_eval(args):
     [p], nvars = _parse_exprs([args.expr], args.vars)
     point = _point(args, nvars)
     value = eval_epoly(p, point)
     if args.model == "series":
-        if args.json:
-            out(json.dumps({"model": "series", "order": point.order,
-                            "coefficients": [str(c) for c in value.coeffs]}))
-        else:
-            out(str(value))
-    else:
-        value = FloatPoint.finite(value)
-        if args.json:
-            out(json.dumps({"model": "float", "re": value.real,
-                            "im": value.imag}))
-        else:
-            out(_fmt_float(value))
-    return 0
+        return ({"model": "series", "order": point.order,
+                 "coefficients": [str(c) for c in value.coeffs]},
+                [str(value)])
+    value = FloatPoint.finite(value)
+    return ({"model": "float", "re": value.real, "im": value.imag},
+            [_fmt_float(value)])
 
 
-def cmd_derive(args, out):
+def cmd_derive(args):
     [p], nvars = _parse_exprs([args.expr], args.vars)
     if args.action:
         actions, _ = _parse_exprs(args.action, nvars)
@@ -112,164 +109,121 @@ def cmd_derive(args, out):
         result = partial_derivative(p, args.var - 1)
     else:
         raise PreconditionError("derive needs --var or --action")
-    out(json.dumps({"result": str(result)}) if args.json else str(result))
-    return 0
+    return {"result": str(result)}, [str(result)]
 
 
-def cmd_jacobian(args, out):
+def cmd_jacobian(args):
     fs, _ = _parse_exprs(args.exprs, len(args.exprs))
     result = jacobian(fs)
-    out(json.dumps({"result": str(result)}) if args.json else str(result))
-    return 0
+    return {"result": str(result)}, [str(result)]
 
 
-def cmd_khovanskii(args, out):
+def cmd_khovanskii(args):
     nvars = len(args.exprs)
     fs, _ = _parse_exprs(args.exprs, nvars)
-    point = _point(args, nvars)
-    verdict = khovanskii_check(fs, point)
-    out(json.dumps({"khovanskii": verdict}) if args.json
-        else ("true" if verdict else "false"))
-    return 0
+    verdict = khovanskii_check(fs, _point(args, nvars))
+    return {"khovanskii": verdict}, [_true_false(verdict)]
 
 
-def cmd_member(args, out):
+def cmd_member(args):
     ideal = _load_ideal(args)
     [p], _ = _parse_exprs([args.expr], ideal.nvars)
     result = ideal.membership(p)
-    if args.json:
-        out(json.dumps({
-            "member": result.member,
-            "cofactors": (None if result.cofactors is None
-                          else [str(c) for c in result.cofactors]),
-            "lattice": ideal.presentation().describe()}))
-    else:
-        out("true" if result.member else "false")
-        if result.member:
-            for c, g in zip(result.cofactors, ideal.gens):
-                out(f"  cofactor of {g}: {c}")
-    return 0
+    cofactors = (None if result.cofactors is None
+                 else [str(c) for c in result.cofactors])
+    return ({"member": result.member, "cofactors": cofactors,
+             "lattice": ideal.presentation().describe()},
+            [_true_false(result.member)]
+            + [f"  cofactor of {g}: {c}"
+               for c, g in zip(cofactors or (), ideal.gens)])
 
 
-def cmd_intersect(args, out):
-    ideal = _load_ideal(args)
-    cut = ideal.intersect_subring(args.layer)
-    if args.json:
-        out(json.dumps({"generators": [str(g) for g in cut.gens]}))
-    else:
-        if not cut.gens:
-            out("0")
-        for g in cut.gens:
-            out(str(g))
-    return 0
+def cmd_intersect(args):
+    cut = _load_ideal(args).intersect_subring(args.layer)
+    gens = [str(g) for g in cut.gens]
+    return {"generators": gens}, gens or ["0"]
 
 
-def cmd_aug(args, out):
-    nvars = args.vars
-    ideal = None
-    if args.ideal:
-        ideal = _load_ideal(args)
-        nvars = ideal.nvars
-    [u], _ = _parse_exprs([args.expr], nvars)
-    if ideal is not None:
-        image, member = augmentation_mod(u, ideal, args.layer)
-        if args.json:
-            out(json.dumps({"image": str(image), "in_kernel": member}))
-        else:
-            out(str(image))
-            out("in kernel: " + ("true" if member else "false"))
-    else:
+def cmd_aug(args):
+    ideal = _load_ideal(args) if args.ideal else None
+    [u], _ = _parse_exprs([args.expr],
+                          args.vars if ideal is None else ideal.nvars)
+    if ideal is None:
         image = augmentation(u, args.layer)
-        out(json.dumps({"image": str(image)}) if args.json else str(image))
-    return 0
+        return {"image": str(image)}, [str(image)]
+    image, member = augmentation_mod(u, ideal, args.layer)
+    return ({"image": str(image), "in_kernel": member},
+            [str(image), "in kernel: " + _true_false(member)])
 
 
-def cmd_dagger(args, out):
-    ideal = _load_ideal(args)
-    report = dagger_check(ideal, args.layer)
-    if args.json:
-        out(json.dumps({
-            "layer": report.layer,
-            "holds_on_generators": report.holds,
-            "witness": None if report.witness is None else str(report.witness),
-            "checked": [str(g) for g in report.checked],
-            "skipped": [str(g) for g in report.skipped]}))
-    else:
-        out(f"layer {report.layer}: {report.describe()}")
-    return 0
+def cmd_dagger(args):
+    report = dagger_check(_load_ideal(args), args.layer)
+    return ({"layer": report.layer,
+             "holds_on_generators": report.holds,
+             "witness": (None if report.witness is None
+                         else str(report.witness)),
+             "checked": [str(g) for g in report.checked],
+             "skipped": [str(g) for g in report.skipped]},
+            [f"layer {report.layer}: {report.describe()}"])
 
 
-def cmd_extend(args, out):
+def cmd_extend(args):
     ideal = _load_ideal(args)
     tower = TowerIdeal(ideal)
     tower.extend(args.levels)
-    doc = tower.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-    lines = {
+            json.dump(tower.to_dict(), fh, indent=1)
+    doc = {
         "base_layer": tower.base_layer,
         "top_level": tower.top_level,
         "tracked": [[str(s.element) for s in dec.seeds]
                     for dec in tower.decomps],
     }
+    lines = [f"tower over layers [{tower.base_layer}, {tower.top_level}]"]
+    for layer, seeds in enumerate(doc["tracked"], tower.base_layer):
+        lines.append(f"  layer {layer} tracked: "
+                     f"{', '.join(seeds) or '(none)'}")
     if args.query:
         [q], _ = _parse_exprs([args.query], ideal.nvars)
         level = args.level if args.level is not None else tower.top_level
-        lines["query"] = str(q)
-        lines["level"] = level
-        lines["member"] = tower.membership(q, level)
-    if args.json:
-        out(json.dumps(lines))
-    else:
-        out(f"tower over layers [{tower.base_layer}, {tower.top_level}]")
-        for i, dec in enumerate(tower.decomps):
-            seeds = ", ".join(str(s.element) for s in dec.seeds) or "(none)"
-            out(f"  layer {tower.base_layer + i} tracked: {seeds}")
-        if args.query:
-            verdict = "true" if lines["member"] else "false"
-            out(f"membership of {lines['query']} at level {lines['level']}: "
-                f"{verdict}")
-    return 0
+        doc.update(query=str(q), level=level,
+                   member=tower.membership(q, level))
+        lines.append(f"membership of {q} at level {level}: "
+                     f"{_true_false(doc['member'])}")
+    return doc, lines
 
 
-def cmd_saturate(args, out):
-    ideal = _load_ideal(args)
-    outcome = saturate_level_one(ideal)
-    if args.json:
-        doc = {"status": outcome.status,
-               "rounds": outcome.rounds,
-               "generators": [str(g) for g in outcome.generators],
-               "added": [str(g) for g in outcome.added]}
-        if outcome.status == "unit":
-            doc["certificate"] = [str(c) for c in outcome.certificate]
-        else:
-            doc["dagger_holds"] = outcome.dagger.holds
-        out(json.dumps(doc))
-    else:
-        if outcome.status == "unit":
-            out(f"failure certificate after {outcome.rounds} round(s): "
-                "1 lies in the extended ideal")
-            for c, g in zip(outcome.certificate, outcome.generators):
-                if not c.is_zero():
-                    out(f"  1 += ({c}) * ({g})")
-        else:
-            out(f"stabilized after {outcome.rounds} round(s)")
-            out("  generators: " + "; ".join(str(g)
-                                             for g in outcome.generators))
-            out(f"  exp-compatibility: {outcome.dagger.describe()}")
-    return 0
+def cmd_saturate(args):
+    outcome = saturate_level_one(_load_ideal(args))
+    doc = {"status": outcome.status,
+           "rounds": outcome.rounds,
+           "generators": [str(g) for g in outcome.generators],
+           "added": [str(g) for g in outcome.added]}
+    if outcome.status == "unit":
+        doc["certificate"] = [str(c) for c in outcome.certificate]
+        lines = [f"failure certificate after {outcome.rounds} round(s): "
+                 "1 lies in the extended ideal"]
+        lines += [f"  1 += ({c}) * ({g})"
+                  for c, g in zip(outcome.certificate, outcome.generators)
+                  if not c.is_zero()]
+        return doc, lines
+    doc["dagger_holds"] = outcome.dagger.holds
+    return doc, [f"stabilized after {outcome.rounds} round(s)",
+                 "  generators: " + "; ".join(doc["generators"]),
+                 f"  exp-compatibility: {outcome.dagger.describe()}"]
 
 
-def cmd_rabinowitsch(args, out):
+def cmd_rabinowitsch(args):
     ideal = _load_ideal(args)
     [g], _ = _parse_exprs([args.g], ideal.nvars)
     report = nullstellensatz_pipeline(ideal.gens, g, budget_limit=args.budget)
-    out(json.dumps(report.to_dict()) if args.json else report.describe())
-    return 0
+    return report.to_dict(), [report.describe()]
 
 
-def cmd_demo(args, out):
+def cmd_demo(args):
+    lines = []
+    out = lines.append
     rng = random.Random(args.seed)
     x = EPoly.var(1, 0)
     x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
@@ -326,8 +280,8 @@ def cmd_demo(args, out):
     for text, level in (("E(X1) - 1", 1), ("E(X1^2) - 1", 1),
                         ("E(X1)", 1), ("1", 2)):
         q = parse_epoly(text)
-        verdict = "true" if tower.membership(q, level) else "false"
-        out(f"{text} at level {level}: {verdict}")
+        out(f"{text} at level {level}: "
+            f"{_true_false(tower.membership(q, level))}")
 
     out("")
     out("== saturation: success and failure certificate ==")
@@ -371,7 +325,7 @@ def cmd_demo(args, out):
         if (a + b).exp() != a.exp() * b.exp():
             failures += 1
     out(f"exponential law on 25 random pairs: {25 - failures}/25 ok")
-    return 0
+    return None, lines
 
 
 def _random_zero_const(rng, nvars):
@@ -399,6 +353,19 @@ def _int_at_least(low: int, what: str):
                 f"{what} must be an integer >= {low}, got {text!r}")
         return int(text)
     return parse
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type for finite numbers >= 0; anything else (NaN, an
+    infinity, a negative number) is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="series")
         p.add_argument("--order", type=int, default=8,
                        help="series truncation order (default 8)")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="float-model zero tolerance")
         p.add_argument("--at", required=True,
                        help="point: per-variable groups separated by ';', "
@@ -527,29 +494,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Exit code of each error kind, most specific first.  A file that is not
 # UTF-8 text is an I/O error.  A number too large for a float or an index
-# (such as a float-model value) and a nesting of terms or tower levels
-# deeper than the recursion limit are domain errors.
-_EXIT_CODES = ((BudgetExceededError, 2),
-               ((ParseError, OSError, UnicodeDecodeError,
-                 json.JSONDecodeError), 3),
-               (InternalError, 4),
-               ((ExpolyError, OverflowError, RecursionError), 1))
+# (such as a float-model value) and a nesting of terms deeper than the
+# recursion limit are domain errors.
+_EXIT_CODES = ((BudgetExceededError, 2), (ParseError, 3), (OSError, 3),
+               (UnicodeDecodeError, 3), (json.JSONDecodeError, 3),
+               (InternalError, 4), (ExpolyError, 1), (OverflowError, 1),
+               (RecursionError, 1))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    def out(line=""):
-        sys.stdout.write(line + "\n")
-
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
-    except (ExpolyError, OSError, UnicodeDecodeError, json.JSONDecodeError,
-            OverflowError, RecursionError) as exc:
+        doc, lines = args.func(args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return next(code for kinds, code in _EXIT_CODES
-                    if isinstance(exc, kinds))
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
+    if getattr(args, "json", False):
+        lines = [json.dumps(doc)]
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,23 +34,21 @@ class ParseError(ExpolyError):
 
     def __init__(self, message, line=1, col=1):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
 
 
 class Budget:
-    """Countdown of reduction steps; spend() raises once the limit is hit.
-
-    A limit of None means unlimited.
-    """
+    """Countdown of reduction steps; spend() raises once the limit is hit."""
 
     def __init__(self, limit=1_000_000):
         self.limit = limit
         self.used = 0
 
-    def spend(self, steps=1):
-        self.used += steps
-        if self.limit is not None and self.used > self.limit:
+    def spend(self):
+        self.used += 1
+        if self.used > self.limit:
             raise BudgetExceededError(
                 f"step budget of {self.limit} exceeded"
             )

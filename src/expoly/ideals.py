@@ -216,7 +216,7 @@ class IdealHandle:
     """
 
     def __init__(self, gens, nvars: int | None = None,
-                 budget_limit: int | None = 1_000_000):
+                 budget_limit: int = 1_000_000):
         gens = tuple(gens)
         if nvars is None:
             if not gens:

@@ -144,8 +144,6 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
 class SeriesPoint:
     """One truncated series per variable; the exact evaluation model."""
 
-    model = "series"
-
     def __init__(self, values, order: int = 8):
         self.values = tuple(v if isinstance(v, TruncatedSeries)
                             else TruncatedSeries(v, order) for v in values)
@@ -174,8 +172,6 @@ class SeriesPoint:
 
 class FloatPoint:
     """Complex floats with total exp; for demonstrations, never exact."""
-
-    model = "float"
 
     def __init__(self, values, tolerance: float = 1e-9):
         self.values = tuple(complex(v) for v in values)

@@ -171,7 +171,7 @@ class PipelineReport:
 
 
 def nullstellensatz_pipeline(hs, g: EPoly,
-                             budget_limit: int | None = 1_000_000
+                             budget_limit: int = 1_000_000
                              ) -> PipelineReport:
     """Exp-compatibility check, certificate search, and power extraction."""
     hs = tuple(hs)

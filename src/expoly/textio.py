@@ -22,7 +22,7 @@ with print is the identity on canonical values.
 from __future__ import annotations
 
 from .epoly import EPoly, _exp_add, _exp_argument
-from .errors import ParseError, VariableCountError
+from .errors import ParseError
 from .scalars import IMAG_UNIT, gaussian, scalar_div
 
 
@@ -210,18 +210,21 @@ def parse_epoly(text: str, nvars: int | None = None) -> EPoly:
 
 
 def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
-    """One exponential polynomial per line; blanks and '#' comments skipped."""
+    """One exponential polynomial per line; blanks and '#' comments skipped.
+    A syntax error names its line of the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    cleaned = [ln for ln in lines
-               if ln.strip() and not ln.strip().startswith("#")]
-    if nvars is None:
-        nvars = max((max_var_index(ln) for ln in cleaned), default=1)
-        nvars = max(nvars, 1)
+        lines = [(number, ln) for number, ln
+                 in enumerate(handle.read().splitlines(), 1)
+                 if ln.strip() and not ln.strip().startswith("#")]
     out = []
-    for ln in cleaned:
-        try:
+    try:
+        if nvars is None:
+            nvars = 1
+            for number, ln in lines:
+                nvars = max(nvars, max_var_index(ln))
+        for number, ln in lines:
             out.append(parse_epoly(ln, nvars))
-        except VariableCountError as exc:
-            raise ParseError(f"{exc} in line {ln!r}") from exc
+    except ParseError as exc:
+        # `number` is the line being read when the error was raised.
+        raise ParseError(exc.message, number, exc.col) from None
     return out

@@ -227,7 +227,8 @@ class TowerIdeal:
     """A base ideal plus tracked decomposition data for each built level.
 
     Membership at level n+1 is the kernel condition of the modified
-    augmentation: rewrite, sum the coefficients, recurse one level down.
+    augmentation: rewrite, sum the coefficients, descend one level, until
+    the base ideal decides.
     """
 
     def __init__(self, base: IdealHandle, base_layer: int | None = None):
@@ -256,19 +257,18 @@ class TowerIdeal:
         if p.height() > level:
             raise PreconditionError(
                 f"query of height {p.height()} is not in R_{level}")
-        if level == self.base_layer:
-            return self.base.membership(p).member
-        dec = self.decomposition(level - 1)
-        # Lazy slice refresh: a complement direction that is itself an
-        # ideal element joins the tracked span, and p is rewritten again.
-        terms = rewrite(p, dec)
-        while any(t.complement_part
-                  and self.membership(t.complement_part, level - 1)
-                  and dec.try_add(t.complement_part) is None
-                  for t in terms):
+        while level > self.base_layer:
+            dec = self.decomposition(level - 1)
+            # Lazy slice refresh: a complement direction that is itself an
+            # ideal element joins the tracked span, and p is rewritten again.
             terms = rewrite(p, dec)
-        image = _image(terms, p.nvars)
-        return self.membership(image, level - 1)
+            while any(t.complement_part
+                      and self.membership(t.complement_part, level - 1)
+                      and dec.try_add(t.complement_part) is None
+                      for t in terms):
+                terms = rewrite(p, dec)
+            p, level = _image(terms, p.nvars), level - 1
+        return self.base.membership(p).member
 
     def extend_one_step(self, seeds=None) -> "TowerIdeal":
         """Add one level.  At the base, (dagger) must hold on generators and

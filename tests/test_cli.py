@@ -235,15 +235,55 @@ def test_exit_code_float_value_out_of_range(capsys, argv, json_flag):
 
 @pytest.mark.parametrize("argv", [
     ["ord", "E(" * 1500 + "X1" + ")" * 1500],
-    ["extend", "--levels", "1500", "--query", "X1"],
-], ids=["nested terms", "deep tower"])
+], ids=["nested terms"])
 def test_exit_code_recursion_limit(capsys, ideal_file, argv):
     """Nesting deeper than Python's recursion limit is a domain error."""
-    if argv[0] == "extend":
-        argv = [*argv, "--ideal", ideal_file("I.txt", "X1")]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "recursion" in err
+
+
+def test_deep_tower_answers(capsys, ideal_file):
+    """A tower verdict descends the levels in a loop, so a tower higher
+    than Python's recursion limit still answers."""
+    path = ideal_file("I.txt", "X1")
+    code, out, err = run(capsys, "extend", "--levels", "1500", "--query",
+                         "X1", "--ideal", path)
+    assert code == 0 and err == ""
+    assert out.endswith("membership of X1 at level 1500: true\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400", "abc"])
+def test_exit_code_tolerance_not_finite_nonnegative(capsys, tol):
+    """A tolerance under which no value is zero is a usage error."""
+    code, err = _usage_error(capsys, "khovanskii", "X1", "--at", "0",
+                             "--model", "float", "--tol", tol)
+    assert code == 3 and err.startswith("usage:")
+    assert "argument --tol:" in err
+
+
+def test_tolerance_zero_is_accepted(capsys):
+    code, out, _ = run(capsys, "khovanskii", "X1", "--at", "0", "--model",
+                       "float", "--tol", "0")
+    assert code == 0 and out == "true\n"
+
+
+def test_ideal_file_error_names_the_file_line(capsys, ideal_file):
+    """Blank and comment lines count toward the line number."""
+    path = ideal_file("I.txt", "# c", "X1", "", "X1+(")
+    code, out, err = run(capsys, "member", "--ideal", path, "X1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "(line 4, column 5)" in err
+    path = ideal_file("J.txt", "X1", "# X9", "X1*X3", "E(X4)")
+    code, out, err = run(capsys, "member", "--ideal", path, "--vars", "3",
+                         "X1")
+    assert code == 3 and out == ""
+    assert err == ("error: variable X4 out of range for 3 variables "
+                   "(line 4, column 3)\n")
+    path = ideal_file("K.txt", "X1", "", "X\u00b2")
+    code, out, err = run(capsys, "member", "--ideal", path, "X1")
+    assert code == 3 and out == ""
+    assert err == "error: expected digits after 'X' (line 3, column 1)\n"
 
 
 def test_parse_term_products():
