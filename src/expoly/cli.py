@@ -497,9 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 # (such as a float-model value) and a nesting of terms deeper than the
 # recursion limit are domain errors.
 _EXIT_CODES = ((BudgetExceededError, 2), (ParseError, 3), (OSError, 3),
-               (UnicodeDecodeError, 3), (json.JSONDecodeError, 3),
-               (InternalError, 4), (ExpolyError, 1), (OverflowError, 1),
-               (RecursionError, 1))
+               (UnicodeDecodeError, 3), (InternalError, 4), (ExpolyError, 1),
+               (OverflowError, 1), (RecursionError, 1))
 
 
 def main(argv=None) -> int:

@@ -26,16 +26,12 @@ division step folds its (monomial, coefficient) pairs through
 Monomials are tuples of exponents, and the monomial helpers work on them
 with `map` over `operator` functions.  `MonomialOrder.key` is one flat
 tuple of ints.  Division (`reduce_full`) takes the largest remaining term
-from a heap of negated keys (Monagan and Pearce, CASC 2007), and skips a
-reducer whose leading monomial has a variable outside the term's support
-before testing divisibility (the "short exponent vector" of Bachmann and
-Schoenemann, ISSAC 1998).
+from a heap of negated keys (Monagan and Pearce, CASC 2007).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from operator import add, le, neg, sub
 
 from .errors import Budget
@@ -209,30 +205,22 @@ def reduce_full(p: Poly, reducers, budget: Budget):
     monomial) entries, so the largest remaining monomial is popped instead
     of searched for.  A monomial is pushed when it enters the dict; since
     monomials only fall, a popped monomial no longer in the dict (it
-    cancelled) is skipped.  Each reducer's leading monomial has a support
-    mask, and a reducer whose mask is not inside the term's is skipped
-    before the full divisibility test.
+    cancelled) is skipped.
     """
     ring = p.ring
     key = ring.order.key
-    bits = [1 << i for i in range(ring.nvars)]  # support mask of a monomial
     quotients = [{} for _ in reducers]  # m only falls: no key repeats
     remainder = {}
     work = dict(p.terms)
     heap = [(tuple(map(neg, key(m))), m) for m in work]
     heapify(heap)
     leads = [r.lead() for r in reducers]
-    masks = [sum(compress(bits, lm)) for lm, _ in leads]
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, None)
         if c is None:
             continue
-        mask = sum(compress(bits, m))
-        for i, lmask in enumerate(masks):
-            if lmask & ~mask:
-                continue
-            lm, lc = leads[i]
+        for i, (lm, lc) in enumerate(leads):
             if mono_divides(lm, m):
                 budget.spend()
                 qm = mono_div(m, lm)

@@ -95,7 +95,8 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}",
+            found = "end of input" if tok.kind == "end" else repr(tok.value)
+            raise ParseError(f"expected {kind!r}, found {found}",
                              tok.line, tok.col)
         self.pos += 1
         return tok
@@ -148,6 +149,8 @@ class _Parser:
             return IMAG_UNIT
         if tok.kind == "(":
             return self.parse_gaussian()
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.line, tok.col)
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
     def parse_rational(self, signed=True):

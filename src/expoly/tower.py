@@ -231,11 +231,9 @@ class TowerIdeal:
     the base ideal decides.
     """
 
-    def __init__(self, base: IdealHandle, base_layer: int | None = None):
+    def __init__(self, base: IdealHandle):
         self.base = base
-        self.base_layer = base.layer() if base_layer is None else base_layer
-        if self.base_layer < max((g.height() for g in base.gens), default=0):
-            raise PreconditionError("generators exceed the base layer")
+        self.base_layer = base.layer()
         self.decomps: list[TrackedDecomposition] = []
 
     @property
@@ -270,35 +268,32 @@ class TowerIdeal:
             p, level = _image(terms, p.nvars), level - 1
         return self.base.membership(p).member
 
-    def extend_one_step(self, seeds=None) -> "TowerIdeal":
-        """Add one level.  At the base, (dagger) must hold on generators and
-        the default seeds are the zero-constant generators; above the base
-        the tracked slice starts from the given seeds (if any) and grows by
-        lazy refresh.
-        """
-        top = self.top_level
-        if top == self.base_layer:
-            report = dagger_check(self.base, self.base_layer)
-            if not report.holds:
-                raise PreconditionError(
-                    f"cannot extend: exp-compatibility fails at layer "
-                    f"{report.layer} with witness {report.witness}")
-            if seeds is None:
-                seeds = [g for g in self.base.gens
-                         if g.constant_term() == 0
-                         and not g.layer_component(self.base_layer).is_zero()]
-        dec = TrackedDecomposition(top, self.base.nvars)
-        for f in seeds or []:
-            if not self.membership(f, top):
-                raise PreconditionError(
-                    f"seed {f} fails membership at level {top}")
-            dec.try_add(f)
-        self.decomps.append(dec)
-        return self
-
     def extend(self, levels: int) -> "TowerIdeal":
+        """Add `levels` levels.  The first needs (dagger) on the base
+        generators and seeds its tracked slice with the zero-constant
+        generators; higher slices start empty and grow by lazy refresh.
+        """
         for _ in range(levels):
-            self.extend_one_step()
+            top = self.top_level
+            dec = TrackedDecomposition(top, self.base.nvars)
+            if top == self.base_layer:
+                report = dagger_check(self.base, top)
+                if not report.holds:
+                    raise PreconditionError(
+                        f"cannot extend: exp-compatibility fails at layer "
+                        f"{report.layer} with witness {report.witness}")
+                for g in self.base.gens:
+                    if (g.constant_term() != 0
+                            or g.layer_component(top).is_zero()):
+                        continue
+                    # A generator is a member; this check runs the base's
+                    # Groebner basis here rather than in the first query.
+                    if not self.membership(g, top):
+                        raise InternalError(
+                            f"internal error: seed {g} fails membership "
+                            f"at level {top}")
+                    dec.try_add(g)
+            self.decomps.append(dec)
         return self
 
     def check_level_consistency(self, samples, level: int | None = None):
@@ -322,17 +317,6 @@ class TowerIdeal:
             "tracked": [[s.element.to_dict() for s in dec.seeds]
                         for dec in self.decomps],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TowerIdeal":
-        if data.get("format") != "tower/1":
-            raise ValueError(f"unsupported format {data.get('format')!r}")
-        gens = [EPoly.from_dict(d) for d in data["generators"]]
-        tower = cls(IdealHandle(gens), base_layer=data["base_layer"])
-        for level_seeds in data["tracked"]:
-            tower.extend_one_step(
-                seeds=[EPoly.from_dict(d) for d in level_seeds])
-        return tower
 
 
 @dataclass

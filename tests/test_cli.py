@@ -160,6 +160,16 @@ def test_exit_code_parse_error(capsys):
     assert code == 3 and "column 6" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("X1+(", "expected 'num', found end of input (line 1, column 5)"),
+    ("X1+", "unexpected end of input (line 1, column 4)"),
+])
+def test_parse_error_names_end_of_input(capsys, text, message):
+    code, out, err = run(capsys, "ord", text)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "khovanskii"])
 @pytest.mark.parametrize("at", ["abc", "1/0"])
 def test_exit_code_malformed_float_point(capsys, command, at):
@@ -196,6 +206,32 @@ def test_member_large_power_parses_in_one_step(ideal_file):
                           timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "true"
+
+
+def test_many_variables_stay_small(ideal_file):
+    """Memory stays near linear in --vars: 100,000 variables run in well
+    under 150 MB.  ru_maxrss keeps the spawning process's high-water mark
+    across exec, so the measured interpreter is started by a fresh one,
+    not by the test process."""
+    pytest.importorskip("resource")
+    path = ideal_file("I.txt", "X1")
+    measured = ("import resource\n"
+                "from expoly.cli import main\n"
+                f"main(['member', '--ideal', {path!r}, 'X1', "
+                "'--vars', '100000'])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    launcher = ("import subprocess, sys\n"
+                "sys.exit(subprocess.call([sys.executable, '-c', "
+                f"{measured!r}]))")
+    proc = subprocess.run([sys.executable, "-c", launcher],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *answer, maxrss = proc.stdout.splitlines()
+    assert answer[0] == "true"
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere.
+    mib = int(maxrss) / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    assert mib < 150, f"peak RSS {mib:.1f} MiB"
 
 
 def test_eval_large_power_squares():

@@ -4,10 +4,10 @@ The functions below are the earlier definitions of the kernel, kept
 verbatim as the reference: `reduce_full` scanning its work dict with `max`,
 the nested-tuple order key, and the generator-based monomial helpers.  The
 only edit is that the reference division reads the nested key through
-`ref_key` instead of `MonomialOrder.key`.  The heap-ordered division with
-support masks must return the same quotients and remainder and spend the
-same number of steps, and the flat order key must sort monomials exactly
-as the nested one does.
+`ref_key` instead of `MonomialOrder.key`.  The heap-ordered division
+must return the same quotients and remainder and spend the same number of
+steps, and the flat order key must sort monomials exactly as the nested
+one does.
 """
 
 from fractions import Fraction

@@ -37,7 +37,8 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}",
+            found = "end of input" if tok.kind == "end" else repr(tok.value)
+            raise ParseError(f"expected {kind!r}, found {found}",
                              tok.line, tok.col)
         self.pos += 1
         return tok
@@ -86,6 +87,8 @@ class _Parser:
             return EPoly.const(self.nvars, IMAG_UNIT)
         if tok.kind == "(":
             return EPoly.const(self.nvars, self.parse_gaussian())
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.line, tok.col)
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
     def parse_rational(self, signed=True) -> Fraction:
