@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 domain error (partiality, precondition violation,
 a float-model value outside the float range, terms nested deeper than the
 recursion limit; a tower of any height answers), 2 step budget exceeded
-(`--budget` counts every reduction step of the command), 3 I/O or syntax
-error (a usage error such as a `--tol` that is not a finite number >= 0,
-or a file that is not UTF-8, included; an error in an ideal file names its
+(`--budget` counts every reduction step of the command and every tower
+level `extend` builds), 3 I/O or syntax error (a usage error such as a
+`--tol` that is not a finite number >= 0 or a `--vars` above 100,000, or
+a file that is not UTF-8, included; an error in an ideal file names its
 line of the file), 4 internal error (a failed consistency check such as a
 certificate that does not re-expand).
 
@@ -343,14 +344,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type for decimal integers >= low; anything else is a
-    usage error."""
+def _int_at_least(low: int, what: str, high: float = math.inf):
+    """An argparse type for decimal integers >= low (and <= high); anything
+    else is a usage error."""
     def parse(text: str) -> int:
         digits = text[1:] if text.startswith("-") else text
-        if not digits.isdecimal() or int(text) < low:
+        if not digits.isdecimal() or not low <= int(text) <= high:
+            bound = "" if high == math.inf else f" and <= {high}"
             raise argparse.ArgumentTypeError(
-                f"{what} must be an integer >= {low}, got {text!r}")
+                f"{what} must be an integer >= {low}{bound}, got {text!r}")
         return int(text)
     return parse
 
@@ -382,12 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=_int_at_least(0, "step budget"),
                            default=1_000_000,
-                           help="reduction step budget of the whole command "
-                                "(default 10^6)")
+                           help="reduction steps and tower levels the "
+                                "whole command may spend (default 10^6)")
         if vars_flag:
-            p.add_argument("--vars", type=_int_at_least(1, "variable count"),
+            # Memory grows by about 0.2 KB per variable, so it is bounded.
+            p.add_argument("--vars",
+                           type=_int_at_least(1, "variable count", 100_000),
                            default=None,
-                           help="variable count (default: inferred)")
+                           help="variable count <= 100,000 (default inferred)")
 
     p = sub.add_parser("ord", help="ordinal complexity of a value")
     p.add_argument("expr")

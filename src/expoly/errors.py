@@ -40,7 +40,8 @@ class ParseError(ExpolyError):
 
 
 class Budget:
-    """Countdown of reduction steps; spend() raises once the limit is hit."""
+    """Countdown of steps (reduction steps and tower levels built);
+    spend() raises once the limit is hit."""
 
     def __init__(self, limit=1_000_000):
         self.limit = limit

@@ -33,11 +33,7 @@ class RationalEchelon:
         self.rows = []          # echelon rows, each a dict
         self.pivots = []        # pivot label per row
         self.expr = []          # row expressed over inserted independents
-        self.count = 0          # how many independent vectors were inserted
         self._coord_order = coord_order or (lambda label: label)
-
-    def _pick_pivot(self, vec: dict):
-        return min(vec, key=self._coord_order)
 
     def reduce(self, vec: dict):
         """Return (residual, coeffs) with vec = residual + coeffs . inserted."""
@@ -65,45 +61,29 @@ class RationalEchelon:
         residual, coeffs = self.reduce(vec)
         if not residual:
             return False, coeffs
-        pivot = self._pick_pivot(residual)
+        pivot = min(residual, key=self._coord_order)
         inv = scalar_inv(residual[pivot])
         row = {k: v * inv for k, v in residual.items()}
         # residual = vec - sum coeffs_i * inserted_i, so the normalized row
         # is inv*vec - sum inv*coeffs_i * inserted_i.
-        expr = vec_add({self.count: inv}, coeffs, -inv)
+        expr = vec_add({len(self.rows): inv}, coeffs, -inv)
         self.rows.append(row)
         self.pivots.append(pivot)
         self.expr.append(expr)
-        self.count += 1
         return True, coeffs
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def hnf_with_transform(mat):
     """Row-style Hermite normal form: returns (H, U) with U unimodular and
     U @ mat == H, H in echelon shape with positive pivots and reduced
-    entries above each pivot.  Zero rows of H sink to the bottom.
+    entries above each pivot.  Zero rows of H sink to the bottom.  The row
+    operations run on the augmented matrix [mat | I], whose right block
+    ends as U.
     """
-    rows = [list(map(int, r)) for r in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    unimod = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def rowop_sub(dst, src, q):
-        rows[dst] = [a - q * b for a, b in zip(rows[dst], rows[src])]
-        unimod[dst] = [a - q * b for a, b in zip(unimod[dst], unimod[src])]
-
-    def rowswap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        unimod[i], unimod[j] = unimod[j], unimod[i]
-
-    def rowneg(i):
-        rows[i] = [-a for a in rows[i]]
-        unimod[i] = [-a for a in unimod[i]]
-
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    rows = [[*map(int, r), *(0,) * i, 1, *(0,) * (m - i - 1)]
+            for i, r in enumerate(mat)]
     r = 0
     for col in range(n):
         # Euclid all entries below r into position r.
@@ -112,15 +92,14 @@ def hnf_with_transform(mat):
             if not nonzero:
                 break
             pivot_row = min(nonzero, key=lambda i: (abs(rows[i][col]), i))
-            if pivot_row != r:
-                rowswap(pivot_row, r)
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             if rows[r][col] < 0:
-                rowneg(r)
+                rows[r] = [-a for a in rows[r]]
             done = True
             for i in range(r + 1, m):
                 if rows[i][col]:
                     q = rows[i][col] // rows[r][col]
-                    rowop_sub(i, r, q)
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
                     if rows[i][col]:
                         done = False
             if done:
@@ -129,26 +108,21 @@ def hnf_with_transform(mat):
             for i in range(r):
                 if rows[i][col]:
                     q = rows[i][col] // rows[r][col]
-                    rowop_sub(i, r, q)
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
             r += 1
             if r == m:
                 break
-    return rows, unimod
+    return [row[:n] for row in rows], [row[n:] for row in rows]
 
 
 def integer_kernel(mat):
     """Basis of {x in Z^m : x @ mat == 0} for an integer matrix (m rows)."""
-    if not mat:
-        return []
-    hermite, unimod = hnf_with_transform(mat)
-    return [unimod[i] for i in range(len(mat))
-            if all(e == 0 for e in hermite[i])]
+    hermite, transform = hnf_with_transform(mat)
+    return [u for h, u in zip(hermite, transform) if not any(h)]
 
 
 def lattice_basis(vectors):
     """Basis of the lattice (Z-span) generated by integer row vectors."""
-    if not vectors:
-        return []
     hermite, _ = hnf_with_transform(vectors)
     return [row for row in hermite if any(row)]
 

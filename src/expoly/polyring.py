@@ -70,13 +70,6 @@ class MonomialOrder:
             return "grevlex"
         return f"grevlex eliminating {list(self.block)}"
 
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.nvars == other.nvars and self.block == other.block)
-
-    def __hash__(self):
-        return hash((self.nvars, self.block))
-
 
 def mono_mul(a, b):
     return tuple(map(add, a, b))
@@ -167,9 +160,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(),

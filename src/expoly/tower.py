@@ -272,8 +272,10 @@ class TowerIdeal:
         """Add `levels` levels.  The first needs (dagger) on the base
         generators and seeds its tracked slice with the zero-constant
         generators; higher slices start empty and grow by lazy refresh.
+        Each level built spends one step of the base's budget.
         """
         for _ in range(levels):
+            self.base._budget.spend()
             top = self.top_level
             dec = TrackedDecomposition(top, self.base.nvars)
             if top == self.base_layer:
@@ -345,10 +347,11 @@ def saturate_level_one(ideal: IdealHandle) -> SaturationOutcome:
     """
     if ideal.layer() > 1:
         raise PreconditionError("saturation operates on ideals of R_1")
-    if not ideal.is_proper():
+    # Properness is checked on the work handle, whose basis round 1 reuses.
+    work = ideal._sharing(ideal.gens)
+    if not work.is_proper():
         raise PreconditionError("saturation requires a proper ideal")
     nvars = ideal.nvars
-    work = ideal._sharing(ideal.gens)
     added: list[EPoly] = []
     for round_no in range(1, _MAX_SATURATION_ROUNDS + 1):
         one = work.membership(EPoly.const(nvars, 1))
@@ -392,7 +395,8 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
         return []
     if not cut.gens:
         return []
-    pres = cut.presentation(also_cover=directions)
+    # Each direction is an R_0 value with no exponent: nothing to cover.
+    pres = cut.presentation()
     gb = cut.groebner()
     rows = [_coords(gb.normal_form(pres.encode(b))[1].terms.items())
             for b in directions]

@@ -234,6 +234,19 @@ def test_many_variables_stay_small(ideal_file):
     assert mib < 150, f"peak RSS {mib:.1f} MiB"
 
 
+def test_budget_bounds_tower_levels(ideal_file):
+    """extend spends one step per level built, so a huge --levels stops at
+    the budget rather than building every level."""
+    path = ideal_file("I.txt", "X1")
+    proc = subprocess.run([sys.executable, "-m", "expoly", "extend",
+                           "--ideal", path, "--levels", "200000",
+                           "--budget", "1000", "--query", "X1"],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "step budget of 1000 exceeded" in proc.stderr
+
+
 def test_eval_large_power_squares():
     """X1^k of a series takes O(log k) products, not k."""
     proc = subprocess.run([sys.executable, "-m", "expoly", "eval",
@@ -371,9 +384,11 @@ def test_exit_code_negative_budget(capsys, ideal_file):
     ["extend", "--levels", "two"],
     ["member", "--vars", "0", "X1"],
     ["member", "--vars", "-1", "X1"],
+    ["member", "--vars", "100001", "X1"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_exit_code_count_out_of_range(capsys, ideal_file, argv):
-    """--levels below 0 and --vars below 1 are usage errors, like --budget."""
+    """--levels below 0 and --vars below 1 or above 100,000 are usage
+    errors, like --budget."""
     path = ideal_file("I.txt", "X1")
     code, err = _usage_error(capsys, *argv, "--ideal", path)
     assert code == 3 and err.startswith("usage:")
@@ -460,11 +475,12 @@ REFERENCE_IDEAL = ("E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2",
 
 
 # Each command spends these steps in all, over several Groebner runs and
-# normal forms; no single run or normal form spends more than 251 of them.
+# normal forms (and one per tower level built); no single run or normal
+# form spends more than 251 of them.
 @pytest.mark.parametrize("steps, argv", [
     (225, ["member", "X1*X2*X3-E(X1+X2)"]),
-    (387, ["extend", "--levels", "1", "--query", "E(X1*X2*X3-E(X1+X2))-1"]),
-    (754, ["saturate"]),
+    (388, ["extend", "--levels", "1", "--query", "E(X1*X2*X3-E(X1+X2))-1"]),
+    (537, ["saturate"]),
     (411, ["rabinowitsch", "--g", "X1"]),
 ], ids=["member", "extend", "saturate", "rabinowitsch"])
 def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):

@@ -3,11 +3,12 @@
 `present` builds one echelon and one Hermite basis over the exponent
 components of all layers.  The per-layer construction below is the earlier
 one, kept verbatim as the reference: one echelon, denominator and Hermite
-basis per layer, solved layer by layer.  The one edit is that the
+basis per layer, solved layer by layer.  The two edits are that the
 coordinates of a value p, once `_epoly_coords(p)`, are spelled
-`_coords(p.terms)`.  Both must give the same directions, the same
-`describe()` text and the same coordinates, or the same None, for every
-exponent, covered or not.
+`_coords(p.terms)`, and that an echelon's dimension, once `echelon.dim`,
+is spelled `len(echelon.rows)`.  Both must give the same directions, the
+same `describe()` text and the same coordinates, or the same None, for
+every exponent, covered or not.
 """
 
 import math
@@ -49,7 +50,7 @@ class _LayerLattice:
         if residual:
             return None
         target = []
-        for j in range(self.echelon.dim):
+        for j in range(len(self.echelon.rows)):
             scaled = coeffs[j] * self.denom
             if scaled.denominator != 1:
                 return None
@@ -96,7 +97,7 @@ def reference_present(ps, nvars: int | None = None):
                 raise InternalError(
                     "internal error: a presented exponent component lies "
                     "outside the span of its own layer")
-            row = [coeffs[j] for j in range(echelon.dim)]
+            row = [coeffs[j] for j in range(len(echelon.rows))]
             denom = math.lcm(denom, *(value.denominator for value in row))
             coord_rows.append(row)
         int_rows = [[int(value * denom) for value in row]

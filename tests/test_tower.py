@@ -227,6 +227,13 @@ class TestSaturation:
         with pytest.raises(PreconditionError):
             saturate_level_one(IdealHandle([ONE]))
 
+    def test_caller_handle_is_never_presented(self):
+        """The rounds run on a work handle, and properness is checked
+        there too, so the caller's handle builds no basis."""
+        ideal = IdealHandle([X, X.exp() - 1])
+        assert saturate_level_one(ideal).succeeded
+        assert ideal._pres is None and ideal._gb is None
+
 
 class TestRealKernel:
     def test_real_ideal_passes(self):
