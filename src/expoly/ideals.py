@@ -12,8 +12,14 @@ Groebner bases decide membership, cofactors certify it (lifted from the
 basis's reduction trace only when a certificate is printed), and block
 elimination computes subring intersections.
 
-Verdicts are relative to the lattice slice: queries whose exponents fall
-outside trigger a joint re-presentation with a refined primitive basis.
+A handle's grevlex basis is built once, over the lattice of its
+generators.  A query whose exponents fall outside that lattice is split by
+coset, p = sum of E(c) * p_c with each p_c inside it: the group ring over a
+finer lattice is free over the coarser one's, one basis element per coset,
+so p is a member exactly when every p_c is, and a negative verdict holds in
+every refinement.  The covering lattice, which `presentation()` names,
+still refines with queries and covers; it serves printing, subring
+intersection and saturation's directions, and never rebuilds the basis.
 The augmentation, which sums coefficients over a layer's group elements,
 lives in `tower`: it is the tower's rewriting image over an empty slice.
 """
@@ -230,7 +236,8 @@ class IdealHandle:
         self._budget = Budget(budget_limit)
         self._cover: list[EPoly] = []
         self._pres: LaurentPresentation | None = None
-        self._gb = None
+        self._gb = None   # (presentation, basis) over the generators
+        self._cuts: dict[int, tuple[EPoly, ...]] = {}
 
     def layer(self) -> int:
         """The smallest n with all generators in R_n."""
@@ -244,19 +251,27 @@ class IdealHandle:
         return self._pres
 
     def _refine(self, fresh):
-        """Re-present over the generators, every earlier cover and fresh."""
+        """Re-present over the generators, every earlier cover and fresh;
+        the cut generators memoized over the old lattice are dropped."""
         self._cover.extend(fresh)
         self._pres = present(list(self.gens) + self._cover, nvars=self.nvars)
-        self._gb = None
+        self._cuts.clear()
+
+    def _lattice_basis(self):
+        """(presentation, basis) over the lattice of the generators alone,
+        built once: refining the covering lattice never invalidates it.
+        With no cover yet, the covering presentation is that lattice."""
+        if self._gb is None:
+            pres = (present(self.gens, nvars=self.nvars) if self._cover
+                    else self.presentation())
+            self._gb = pres, self._basis(pres, pres.ring)
+        return self._gb
 
     def groebner(self):
-        """Reduced Groebner basis of the presented ideal, graded
-        reverse-lexicographic over all presentation variables (cached until
-        the presentation is refined)."""
-        pres = self.presentation()
-        if self._gb is None:
-            self._gb = self._basis(pres, pres.ring)
-        return self._gb
+        """Reduced Groebner basis of the ideal over the lattice of its
+        generators, graded reverse-lexicographic over all of that
+        presentation's variables."""
+        return self._lattice_basis()[1]
 
     def _basis(self, pres: LaurentPresentation, ring: PolyRing):
         """Reduced Groebner basis of the generators plus the unit relations
@@ -267,28 +282,54 @@ class IdealHandle:
         return buchberger(encoded + relations, ring, self._budget)
 
     def _presented(self, p: EPoly):
-        """(presentation, basis, encoding of p), refining the lattice first
-        when p falls outside it; p is encoded once when it is covered."""
+        """(presentation, basis, parts) with p = sum of E(c) * decode(q)
+        over the parts (c, q): one part per coset of the basis lattice that
+        p's exponents meet.  A covered p is one part, encoded once, with c
+        None (the lattice's own class); otherwise c is the first exponent
+        of its class, and the covering lattice is refined to cover p."""
         if p.nvars != self.nvars:
             raise VariableCountError("query arity mismatch")
-        encoded = None if self._pres is None else self._pres.encode(p)
-        if encoded is None:
-            self._refine([p])
-            encoded = self._pres.encode(p)
-        return self._pres, self.groebner(), encoded
+        pres, gb = self._lattice_basis()
+        encoded = pres.encode(p)
+        if encoded is not None:
+            return pres, gb, [(None, encoded)]
+        self.presentation(also_cover=[p])
+        zero = EPoly.zero(self.nvars)
+        classes: dict = {zero: []}   # representative -> shifted terms
+        for (mono, exponent), coeff in p.terms:
+            exponent = exponent or zero
+            for c in classes:
+                rest = exponent - c if c else exponent
+                if pres.exponent_coordinates(rest) is not None:
+                    break
+            else:
+                c, rest = exponent, zero
+                classes[c] = []
+            classes[c].append(((mono, rest or None), coeff))
+        return pres, gb, [(c or None, pres.encode(EPoly(self.nvars, terms)))
+                          for c, terms in classes.items() if terms]
 
     def decide(self, p: EPoly) -> bool:
-        """Membership from the normal form alone: no cofactor is lifted."""
-        _, gb, encoded = self._presented(p)
-        return gb.normal_form(encoded)[1].is_zero()
+        """Membership from normal forms alone: no cofactor is lifted."""
+        _, gb, parts = self._presented(p)
+        return all(gb.normal_form(q)[1].is_zero() for _, q in parts)
 
     def membership(self, p: EPoly) -> MembershipResult:
         """The verdict with cofactors, checked by exact re-expansion."""
-        pres, gb, encoded = self._presented(p)
-        cof = gb.cofactors(encoded)
-        if cof is None:
-            return MembershipResult(False, None)
-        cofactors = tuple(pres.decode(c) for c in cof[:len(self.gens)])
+        pres, gb, parts = self._presented(p)
+        lifted = []  # per part, its cofactor of each generator
+        for _, q in parts:
+            cof = gb.cofactors(q)
+            if cof is None:
+                return MembershipResult(False, None)
+            lifted.append([pres.decode(a) for a in cof[:len(self.gens)]])
+        if len(parts) == 1 and parts[0][0] is None:
+            cofactors = tuple(lifted[0])
+        else:
+            # Per generator, the sum of E(c) times part c's cofactor.
+            units = [1 if c is None else c.exp() for c, _ in parts]
+            cofactors = tuple(EPoly.combination(self.nvars, zip(units, row))
+                              for row in zip(*lifted))
         if EPoly.combination(self.nvars, zip(cofactors, self.gens)) != p:
             raise InternalError("internal error: cofactor expansion mismatch")
         return MembershipResult(True, cofactors)
@@ -301,14 +342,16 @@ class IdealHandle:
                 return self._sharing(())
             return self._sharing((EPoly.const(self.nvars, 1),))
         pres = self.presentation()
-        eliminated = pres.eliminated_var_indices(level)
-        if not eliminated:
-            return self._sharing(self.gens)
-        gb = self._basis(pres, pres.ring.with_order(
-            MonomialOrder(pres.ring.nvars, block=tuple(eliminated))))
-        kept = [e for e in gb.elements if not e.uses_vars(eliminated)]
-        gens = (pres.decode(e) for e in kept)
-        return self._sharing(g for g in gens if g)
+        if level not in self._cuts:
+            eliminated = pres.eliminated_var_indices(level)
+            gens = self.gens
+            if eliminated:
+                gb = self._basis(pres, pres.ring.with_order(
+                    MonomialOrder(pres.ring.nvars, block=tuple(eliminated))))
+                kept = (e for e in gb.elements if not e.uses_vars(eliminated))
+                gens = tuple(g for g in map(pres.decode, kept) if g)
+            self._cuts[level] = gens
+        return self._sharing(self._cuts[level])
 
     def _sharing(self, gens) -> "IdealHandle":
         """A handle on other generators that spends this handle's budget."""

@@ -396,12 +396,14 @@ def _interreduce(basis, ring, gens, budget: Budget) -> GroebnerBasis:
     # Reduce every element's tail against the others, then make it monic.
     # No leading monomial divides another and reduction never changes one,
     # so a single pass leaves every tail reduced and no element zero.  A
-    # reducer already made monic only rescales its quotient.
+    # reducer already made monic only rescales its quotient.  A tail that
+    # no other leading monomial divides is already reduced: it is skipped.
     final = []
     for i, (poly, node) in enumerate(kept):
         others = final + kept[i + 1:]
+        leads = [p.lead()[0] for p, _ in others]
         quotients = ()
-        if others:
+        if any(mono_divides(lead, m) for m in poly.terms for lead in leads):
             qs, poly = reduce_full(poly, [p for p, _ in others], budget)
             quotients = _traced([n for _, n in others], qs)
         inv = scalar_inv(poly.lead()[1])

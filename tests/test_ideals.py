@@ -6,6 +6,7 @@ import pytest
 from expoly import (BudgetExceededError, EPoly, IdealHandle, IMAG_UNIT,
                     InternalError, PreconditionError, augmentation,
                     augmentation_mod, parse_epoly, present)
+from expoly import ideals
 from expoly.ideals import LaurentPresentation
 from expoly.polyring import spolynomial
 
@@ -121,14 +122,30 @@ class TestGroebner:
             handle.groebner()
 
     def test_refinement_stream_within_budget(self):
-        # Each query refines the lattice of <E(X1)-1>, up to X1/60 at k = 5,
-        # and reruns Buchberger on u^60 - 1 and the unit relation.  With the
-        # pair criteria the k = 5 rerun takes 93 steps; with the coprime
-        # criterion alone it took 5,458.  The limit bounds the handle's
-        # one budget, which the whole stream spends: 131 steps.
+        # Each query refines the covering lattice of <E(X1)-1>, up to X1/60
+        # at k = 5, and is decided by coset over the one basis of u - 1 and
+        # the unit relation.  The limit bounds the handle's one budget,
+        # which the whole stream spends: 1 step.
         handle = IdealHandle([X.exp() - 1], budget_limit=2000)
         for k in (2, 3, 4, 5):
             assert not handle.membership(P(f"E(1/{k}*X1) - 1")).member
+
+    def test_refinement_stream_runs_buchberger_once(self, monkeypatch):
+        runs = []
+        buchberger = ideals.buchberger
+
+        def spy(*args):
+            runs.append(args)
+            return buchberger(*args)
+
+        monkeypatch.setattr(ideals, "buchberger", spy)
+        handle = IdealHandle([X.exp() - 1])
+        for text in ("E(1/2*X1) - 1", "E(1/3*X1) - 1", "E(1/4*X1) - 1",
+                     "E(2/5*X1) - 1"):
+            assert not handle.membership(P(text)).member
+        assert len(runs) == 1
+        assert handle.presentation().describe() == (
+            "exponent lattice: E(1/60*X1) [layer 1]")
 
 
 class TestMembership:
@@ -274,6 +291,23 @@ class TestIntersect:
 
     def test_base_field_cut(self):
         assert IdealHandle([X]).intersect_subring(-1).gens == ()
+
+    def test_cut_is_memoized_until_the_lattice_refines(self, monkeypatch):
+        runs = []
+        buchberger = ideals.buchberger
+
+        def spy(*args):
+            runs.append(args)
+            return buchberger(*args)
+
+        monkeypatch.setattr(ideals, "buchberger", spy)
+        handle = IdealHandle([X, X.exp() - 2])
+        first, second = handle.intersect_subring(0), handle.intersect_subring(0)
+        assert len(runs) == 1
+        assert first is not second and first.gens == second.gens
+        handle.presentation(also_cover=[(X * Fraction(1, 2)).exp()])
+        assert handle.intersect_subring(0).gens == first.gens
+        assert len(runs) == 2
 
 
 class TestAugmentation:

@@ -7,6 +7,8 @@ from expoly import (EPoly, IdealHandle, InternalError, PreconditionError,
                     real_kernel_check, rewrite, rewrite_expand,
                     saturate_level_one)
 
+from expoly.tower import _directions_in_ideal
+
 from helpers import random_epoly, random_zero_const
 
 X = EPoly.var(1, 0)
@@ -226,6 +228,21 @@ class TestSaturation:
     def test_requires_proper_input(self):
         with pytest.raises(PreconditionError):
             saturate_level_one(IdealHandle([ONE]))
+
+    def test_directions_over_a_cut_refined_before_its_basis(self):
+        """The cut's covering lattice has grown past its generators' own
+        lattice before the cut's basis exists; directions are still
+        encoded over the basis's presentation."""
+        x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
+        gens = [x1 - 2 * x2, x2 * x2]
+        directions = [x1, x2]
+        cut = IdealHandle(gens)
+        cut.presentation(also_cover=[x1.exp(), (x1 + x2).exp()])
+        assert cut._gb is None and len(cut.presentation().directions) == 2
+        found = _directions_in_ideal(directions, cut)
+        assert cut.groebner().ring.nvars != cut.presentation().ring.nvars
+        assert found == _directions_in_ideal(directions, IdealHandle(gens))
+        assert found == [x1 - 2 * x2]
 
     def test_caller_handle_is_never_presented(self):
         """The rounds run on a work handle, and properness is checked
