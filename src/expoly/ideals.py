@@ -27,6 +27,7 @@ lives in `tower`: it is the tower's rewriting image over an empty slice.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from .epoly import EPoly, _term_key
@@ -143,14 +144,19 @@ class LaurentPresentation:
 
     def decode(self, q: Poly) -> EPoly:
         """Ring homomorphism back: u_i -> E(b_i), v_i -> E(-b_i)."""
+        zero = EPoly.zero(self.nvars)
+        return EPoly(self.nvars, self.shifted_terms(q, zero))
+
+    def shifted_terms(self, q: Poly, shift: EPoly) -> list:
+        """The terms of E(shift) * decode(q), as (key, coeff) pairs."""
         uv = [self.uv_index(i) for i in range(len(self.directions))]
         pairs = []
         for mono, coeff in q.terms.items():
-            exponent = EPoly.combination(
-                self.nvars, ((d.epoly, mono[ui] - mono[vi])
-                             for d, (ui, vi) in zip(self.directions, uv)))
+            exponent = EPoly.combination(self.nvars, chain(
+                ((shift, 1),), ((d.epoly, mono[ui] - mono[vi])
+                                for d, (ui, vi) in zip(self.directions, uv))))
             pairs.append(((mono[:self.nvars], exponent or None), coeff))
-        return EPoly(self.nvars, pairs)
+        return pairs
 
     def describe(self) -> str:
         if not self.directions:
@@ -257,10 +263,12 @@ class IdealHandle:
         self._pres = present(list(self.gens) + self._cover, nvars=self.nvars)
         self._cuts.clear()
 
-    def _lattice_basis(self):
+    def lattice_basis(self):
         """(presentation, basis) over the lattice of the generators alone,
         built once: refining the covering lattice never invalidates it.
-        With no cover yet, the covering presentation is that lattice."""
+        A value over that lattice is encoded with this presentation, which
+        can differ from `presentation()`.  With no cover yet, the covering
+        presentation is that lattice."""
         if self._gb is None:
             pres = (present(self.gens, nvars=self.nvars) if self._cover
                     else self.presentation())
@@ -271,7 +279,7 @@ class IdealHandle:
         """Reduced Groebner basis of the ideal over the lattice of its
         generators, graded reverse-lexicographic over all of that
         presentation's variables."""
-        return self._lattice_basis()[1]
+        return self.lattice_basis()[1]
 
     def _basis(self, pres: LaurentPresentation, ring: PolyRing):
         """Reduced Groebner basis of the generators plus the unit relations
@@ -284,17 +292,17 @@ class IdealHandle:
     def _presented(self, p: EPoly):
         """(presentation, basis, parts) with p = sum of E(c) * decode(q)
         over the parts (c, q): one part per coset of the basis lattice that
-        p's exponents meet.  A covered p is one part, encoded once, with c
-        None (the lattice's own class); otherwise c is the first exponent
-        of its class, and the covering lattice is refined to cover p."""
+        p's exponents meet.  The lattice's own class has c zero; any other
+        class has c its first exponent, and the covering lattice is refined
+        to cover p.  A covered p is one part, encoded once."""
         if p.nvars != self.nvars:
             raise VariableCountError("query arity mismatch")
-        pres, gb = self._lattice_basis()
+        pres, gb = self.lattice_basis()
+        zero = EPoly.zero(self.nvars)
         encoded = pres.encode(p)
         if encoded is not None:
-            return pres, gb, [(None, encoded)]
+            return pres, gb, [(zero, encoded)]
         self.presentation(also_cover=[p])
-        zero = EPoly.zero(self.nvars)
         classes: dict = {zero: []}   # representative -> shifted terms
         for (mono, exponent), coeff in p.terms:
             exponent = exponent or zero
@@ -306,7 +314,7 @@ class IdealHandle:
                 c, rest = exponent, zero
                 classes[c] = []
             classes[c].append(((mono, rest or None), coeff))
-        return pres, gb, [(c or None, pres.encode(EPoly(self.nvars, terms)))
+        return pres, gb, [(c, pres.encode(EPoly(self.nvars, terms)))
                           for c, terms in classes.items() if terms]
 
     def decide(self, p: EPoly) -> bool:
@@ -317,19 +325,16 @@ class IdealHandle:
     def membership(self, p: EPoly) -> MembershipResult:
         """The verdict with cofactors, checked by exact re-expansion."""
         pres, gb, parts = self._presented(p)
-        lifted = []  # per part, its cofactor of each generator
-        for _, q in parts:
+        lifted = []  # per part c, E(c) * each generator's cofactor
+        for c, q in parts:
             cof = gb.cofactors(q)
             if cof is None:
                 return MembershipResult(False, None)
-            lifted.append([pres.decode(a) for a in cof[:len(self.gens)]])
-        if len(parts) == 1 and parts[0][0] is None:
-            cofactors = tuple(lifted[0])
-        else:
-            # Per generator, the sum of E(c) times part c's cofactor.
-            units = [1 if c is None else c.exp() for c, _ in parts]
-            cofactors = tuple(EPoly.combination(self.nvars, zip(units, row))
-                              for row in zip(*lifted))
+            lifted.append([pres.shifted_terms(a, c)
+                           for a in cof[:len(self.gens)]])
+        # Per generator, the sum over the parts.
+        cofactors = tuple(EPoly(self.nvars, chain.from_iterable(row))
+                          for row in zip(*lifted))
         if EPoly.combination(self.nvars, zip(cofactors, self.gens)) != p:
             raise InternalError("internal error: cofactor expansion mismatch")
         return MembershipResult(True, cofactors)

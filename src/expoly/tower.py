@@ -395,12 +395,11 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
         return []
     if not cut.gens:
         return []
-    # Each direction is an R_0 value with no exponent, so it is one part
-    # over the cut's basis lattice, whatever the cut's covering lattice.
-    rows = []
-    for b in directions:
-        _, gb, [(_, encoded)] = cut._presented(b)
-        rows.append(_coords(gb.normal_form(encoded)[1].terms.items()))
+    # Each direction is an R_0 value with no exponent, so the basis's own
+    # presentation encodes it, whatever the cut's covering lattice.
+    pres, gb = cut.lattice_basis()
+    rows = [_coords(gb.normal_form(pres.encode(b))[1].terms.items())
+            for b in directions]
     # Columns in order of first appearance.  Scale each column to integers;
     # column scaling keeps the kernel.  With no columns every direction is
     # in the cut: the kernel is the identity.

@@ -158,8 +158,8 @@ def test_wrong_coset_shift_fails_reexpansion(monkeypatch):
 
     def shifted(self, p):
         pres, gb, parts = presented(self, p)
-        assert any(c is not None for c, _ in parts)
-        return pres, gb, [(c if c is None else c + x, q) for c, q in parts]
+        assert any(c for c, _ in parts)
+        return pres, gb, [(c + x if c else c, q) for c, q in parts]
 
     monkeypatch.setattr(IdealHandle, "_presented", shifted)
     with pytest.raises(InternalError):

@@ -22,13 +22,6 @@ X = EPoly.var(1, 0)
 ONE = EPoly.const(1, 1)
 
 
-def refined(gens, *covers):
-    """A handle on gens whose lattice also covers the given values."""
-    handle = IdealHandle(gens)
-    handle.presentation(also_cover=covers)
-    return handle
-
-
 class TestPresent:
     def test_no_exponents(self):
         assert present([X]).directions == ()
@@ -89,7 +82,12 @@ class TestGroebner:
         assert "1*u1 + -1*1" in [str(e) for e in gb.elements]
 
     def test_spoly_consistency_and_cofactors(self):
-        corpus = [
+        # A handle's basis lies over its generators' lattice; the last
+        # entry is built over the refined lattice X1/60 explicitly: from
+        # u1^60 - 1 and the unit relation, a basis of degree 31.
+        gens = [X.exp() - 1]
+        fine = present(gens + [(X * Fraction(1, 60)).exp()])
+        bases = [handle.groebner() for handle in [
             IdealHandle([X, X * X + 1]),
             IdealHandle([X.exp() - 1, X]),
             IdealHandle([(X * Fraction(1, 2)).exp() - 1]),
@@ -98,10 +96,9 @@ class TestGroebner:
             IdealHandle([P(t, 3) for t in ("E(X1)-X2-1", "E(X2)-X3-1",
                                            "X1*E(X3)-X2",
                                            "X1*X2*X3-E(X1+X2)")]),
-            refined([X.exp() - 1], (X * Fraction(1, 60)).exp()),
-        ]
-        for handle in corpus:
-            gb = handle.groebner()
+        ]] + [IdealHandle(gens)._basis(fine, fine.ring)]
+        assert "1*v1^31 + -1*u1^29" in [str(e) for e in bases[-1].elements]
+        for gb in bases:
             for i in range(len(gb.elements)):
                 for j in range(i):
                     s = spolynomial(gb.elements[i], gb.elements[j])
