@@ -8,9 +8,15 @@ integer combination.  One echelon and one Hermite normal form cover all
 layers: components of different layers share no coordinate, so each
 direction lies in a single layer.  Each direction becomes a unit u_i (with
 inverse v_i, relation u_i*v_i - 1) of an ordinary polynomial ring, where
-Groebner bases decide membership, cofactors certify it (lifted from the
-basis's reduction trace only when a certificate is printed), and block
-elimination computes subring intersections.
+Groebner bases decide membership and cofactors certify it.  Cofactors are
+lifted from the basis's reduction trace only when a certificate is
+printed, and over the generators only: the relations decode to zero, so
+their cofactors are never built.  A monomial decodes by its net powers,
+power of u_i minus power of its inverse, to one exponent sum k_i*b_i.
+Block elimination computes subring intersections over the same Laurent
+ring presented with one inverse t for all the directions it eliminates,
+with the one relation t*prod(u_i) - 1: m + 1 block variables for m
+directions, not 2m (the one-variable presentation of a localization).
 
 A handle's grevlex basis is built once, over the lattice of its
 generators.  A query whose exponents fall outside that lattice is split by
@@ -72,9 +78,19 @@ class LatticeDirection(NamedTuple):
 
 
 class LaurentPresentation:
-    """Finite encoding of a tower slice as a Laurent polynomial ring."""
+    """Finite encoding of a tower slice as a Laurent polynomial ring.
 
-    def __init__(self, nvars: int, directions, echelon, denom, hermite):
+    Each direction b_i is a unit u_i.  Its inverse is its own v_i, with the
+    relation u_i*v_i - 1, unless the direction is `shared`: the shared
+    directions have one inverse t in common, the last variable, with the
+    one relation t*prod(u_i) - 1, so u_i^-1 is t times the other shared
+    u's.  Both encodings present the same Laurent ring.  A monomial stands
+    for E(sum k_i*b_i), where the net power k_i is the power of u_i minus
+    that of its inverse.
+    """
+
+    def __init__(self, nvars: int, directions, echelon, denom, hermite,
+                 shared=()):
         self.nvars = nvars
         self.directions = tuple(directions)
         # The echelon spans the exponent components over Q; the HNF rows,
@@ -82,21 +98,31 @@ class LaurentPresentation:
         self._echelon = echelon
         self._denom = denom
         self._hermite = hermite
+        self._shared = frozenset(shared)
         names = [f"X{j + 1}" for j in range(nvars)]
+        t = nvars + 2 * len(self.directions) - len(self._shared)
+        self._uv = []   # per direction: (index of u_i, index of its inverse)
         for i in range(len(self.directions)):
-            names += [f"u{i + 1}", f"v{i + 1}"]
+            u = len(names)
+            if i in self._shared:
+                names.append(f"u{i + 1}")
+                self._uv.append((u, t))
+            else:
+                names += [f"u{i + 1}", f"v{i + 1}"]
+                self._uv.append((u, u + 1))
+        self.block = ()   # the shared u's and t: what an elimination removes
+        if self._shared:
+            names.append("t")
+            self.block = (*(self._uv[i][0] for i in sorted(self._shared)), t)
         self.ring = PolyRing(names)
 
-    def uv_index(self, i: int) -> tuple[int, int]:
-        return self.nvars + 2 * i, self.nvars + 2 * i + 1
-
-    def eliminated_var_indices(self, level: int) -> list[int]:
-        """Ring variables of all directions living strictly above `level`."""
-        out = []
-        for i, direction in enumerate(self.directions):
-            if direction.level > level:
-                out.extend(self.uv_index(i))
-        return out
+    def eliminating(self, level: int) -> "LaurentPresentation":
+        """This presentation with one inverse shared by the directions
+        living strictly above `level`; its `block` is their variables."""
+        return LaurentPresentation(
+            self.nvars, self.directions, self._echelon, self._denom,
+            self._hermite, [i for i, d in enumerate(self.directions)
+                            if d.level > level])
 
     def exponent_coordinates(self, exponent: EPoly | None):
         """Integer coordinates over the directions, or None if not covered."""
@@ -112,22 +138,24 @@ class LaurentPresentation:
                                    [value.numerator for value in target])
 
     def encode(self, p: EPoly) -> Poly | None:
+        """The one monomial of each exponent with the smallest inverse
+        powers: v_i^-k_i for k_i < 0, and t to the largest -k_i over the
+        shared directions."""
         if p.nvars != self.nvars:
             raise VariableCountError(
                 f"presentation over {self.nvars} variables, value has "
                 f"{p.nvars}")
         pairs = []
+        width = self.ring.nvars - self.nvars
         for (mono, exponent), coeff in p.terms:
             coords = self.exponent_coordinates(exponent)
             if coords is None:
                 return None
-            full = list(mono) + [0] * (2 * len(self.directions))
-            for i, k in enumerate(coords):
-                ui, vi = self.uv_index(i)
-                if k > 0:
-                    full[ui] = k
-                elif k < 0:
-                    full[vi] = -k
+            full = list(mono) + [0] * width
+            t_power = max([0] + [-coords[i] for i in self._shared])
+            for i, ((u, v), k) in enumerate(zip(self._uv, coords)):
+                inverse = t_power if i in self._shared else max(-k, 0)
+                full[u], full[v] = k + inverse, inverse
             pairs.append((tuple(full), coeff))
         return Poly(self.ring, pairs)
 
@@ -135,27 +163,36 @@ class LaurentPresentation:
         return self.encode(p) is not None
 
     def relations(self) -> list[Poly]:
-        out = []
-        for i in range(len(self.directions)):
-            ui, vi = self.uv_index(i)
-            out.append(self.ring.var(ui) * self.ring.var(vi)
-                       - self.ring.const(1))
+        var, one = self.ring.var, self.ring.const(1)
+        out = [var(u) * var(v) - one
+               for i, (u, v) in enumerate(self._uv) if i not in self._shared]
+        if self._shared:
+            product = one
+            for index in self.block:
+                product = product * var(index)
+            out.append(product - one)
         return out
 
     def decode(self, q: Poly) -> EPoly:
-        """Ring homomorphism back: u_i -> E(b_i), v_i -> E(-b_i)."""
+        """Ring homomorphism back: u_i -> E(b_i), its inverse -> E(-b_i)."""
         zero = EPoly.zero(self.nvars)
         return EPoly(self.nvars, self.shifted_terms(q, zero))
 
     def shifted_terms(self, q: Poly, shift: EPoly) -> list:
-        """The terms of E(shift) * decode(q), as (key, coeff) pairs."""
-        uv = [self.uv_index(i) for i in range(len(self.directions))]
+        """The terms of E(shift) * decode(q), as (key, coeff) pairs.  Each
+        exponent is one linear fold of shift + sum k_i*b_i over the net
+        powers k_i; a zero net vector with a zero shift is t^0 (None)."""
+        columns = [(u, v, d.epoly.terms)
+                   for (u, v), d in zip(self._uv, self.directions)]
         pairs = []
         for mono, coeff in q.terms.items():
-            exponent = EPoly.combination(self.nvars, chain(
-                ((shift, 1),), ((d.epoly, mono[ui] - mono[vi])
-                                for d, (ui, vi) in zip(self.directions, uv))))
-            pairs.append(((mono[:self.nvars], exponent or None), coeff))
+            net = [(mono[u] - mono[v], terms) for u, v, terms in columns]
+            exponent = None
+            if shift or any(k for k, _ in net):
+                exponent = EPoly(self.nvars, chain(
+                    shift.terms, ((key, c * k) for k, terms in net if k
+                                  for key, c in terms))) or None
+            pairs.append(((mono[:self.nvars], exponent), coeff))
         return pairs
 
     def describe(self) -> str:
@@ -287,7 +324,7 @@ class IdealHandle:
         variables under some monomial order)."""
         encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
         relations = [Poly(ring, rel.terms) for rel in pres.relations()]
-        return buchberger(encoded + relations, ring, self._budget)
+        return buchberger(encoded, ring, self._budget, relations)
 
     def _presented(self, p: EPoly):
         """(presentation, basis, parts) with p = sum of E(c) * decode(q)
@@ -330,8 +367,7 @@ class IdealHandle:
             cof = gb.cofactors(q)
             if cof is None:
                 return MembershipResult(False, None)
-            lifted.append([pres.shifted_terms(a, c)
-                           for a in cof[:len(self.gens)]])
+            lifted.append([pres.shifted_terms(a, c) for a in cof])
         # Per generator, the sum over the parts.
         cofactors = tuple(EPoly(self.nvars, chain.from_iterable(row))
                           for row in zip(*lifted))
@@ -348,13 +384,13 @@ class IdealHandle:
             return self._sharing((EPoly.const(self.nvars, 1),))
         pres = self.presentation()
         if level not in self._cuts:
-            eliminated = pres.eliminated_var_indices(level)
+            elim = pres.eliminating(level)
             gens = self.gens
-            if eliminated:
-                gb = self._basis(pres, pres.ring.with_order(
-                    MonomialOrder(pres.ring.nvars, block=tuple(eliminated))))
-                kept = (e for e in gb.elements if not e.uses_vars(eliminated))
-                gens = tuple(g for g in map(pres.decode, kept) if g)
+            if elim.block:
+                gb = self._basis(elim, elim.ring.with_order(
+                    MonomialOrder(elim.ring.nvars, block=elim.block)))
+                kept = (e for e in gb.elements if not e.uses_vars(elim.block))
+                gens = tuple(g for g in map(elim.decode, kept) if g)
             self._cuts[level] = gens
         return self._sharing(self._cuts[level])
 

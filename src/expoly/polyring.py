@@ -1,16 +1,18 @@
 """Sparse multivariate polynomials over an exact field, with Buchberger.
 
 This is the machine room for ideal computations: ordinary polynomial rings
-whose variables are the formal X's plus the u/v pairs encoding group
-elements.  Coefficients are exact scalars (`scalars`: int, Fraction or
-GaussianRational).  The code adds, subtracts and multiplies them with the
-field operators and divides them only through `scalar_div`, since `/` on
-two ints would give a float.
+whose variables are the formal X's plus the units encoding group elements
+and their inverses.  Coefficients are exact scalars (`scalars`: int,
+Fraction or GaussianRational).  The code adds, subtracts and multiplies
+them with the field operators and divides them only through `scalar_div`,
+since `/` on two ints would give a float.
 
-Buchberger runs on bare polynomials and keeps a reduction trace, from
-which cofactors over the inputs are lifted only when asked for, through
-the elements a query's quotients use.  Reduced bases are unique for a fixed
-monomial order, which the determinism tests rely on.
+Buchberger runs on bare polynomials, the generators followed by relations
+such as u*v - 1, and keeps a reduction trace.  From it cofactors are lifted
+only when asked for, through the elements a query's quotients use, and
+over the generators only: a relation's cofactor is never built, so a
+representation holds modulo the relations.  Reduced bases are unique for a
+fixed monomial order, which the determinism tests rely on.
 
 S-pairs wait in a heap and are taken smallest lcm first (the normal
 strategy), ties broken by basis position.  When an element enters the
@@ -26,7 +28,8 @@ division step folds its (monomial, coefficient) pairs through
 Monomials are tuples of exponents, and the monomial helpers work on them
 with `map` over `operator` functions.  `MonomialOrder.key` is one flat
 tuple of ints.  Division (`reduce_full`) takes the largest remaining term
-from a heap of negated keys (Monagan and Pearce, CASC 2007).
+from a heap of negated keys, `MonomialOrder.neg_key` (Monagan and Pearce,
+CASC 2007); its quotients and remainder are folded as they are built.
 """
 
 from __future__ import annotations
@@ -64,6 +67,15 @@ class MonomialOrder:
         front = [mono[i] for i in self._front]
         back = [mono[i] for i in self._back]
         return (sum(front), *map(neg, front), sum(back), *map(neg, back))
+
+    def neg_key(self, mono):
+        """The key with every entry negated, built directly: the heap of
+        `reduce_full` pops the largest monomial first."""
+        if not self.block:
+            return (-sum(mono), *reversed(mono))
+        front = [mono[i] for i in self._front]
+        back = [mono[i] for i in self._back]
+        return (-sum(front), *front, -sum(back), *back)
 
     def descriptor(self) -> str:
         if not self.block:
@@ -124,6 +136,16 @@ class Poly:
         self.ring = ring
         self.terms = accumulate(terms)
         self._lead = None
+
+    @classmethod
+    def _folded(cls, ring: PolyRing, terms: dict) -> "Poly":
+        """Wrap a term dict that is already folded: distinct monomials and
+        no zero coefficient.  Nothing is checked."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.terms = terms
+        self._lead = None
+        return self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -195,14 +217,16 @@ def reduce_full(p: Poly, reducers, budget: Budget):
     monomial) entries, so the largest remaining monomial is popped instead
     of searched for.  A monomial is pushed when it enters the dict; since
     monomials only fall, a popped monomial no longer in the dict (it
-    cancelled) is skipped.
+    cancelled) is skipped.  Each quotient and the remainder get every
+    monomial at most once and only nonzero coefficients, so they are
+    wrapped as they are.
     """
     ring = p.ring
-    key = ring.order.key
+    neg_key = ring.order.neg_key
     quotients = [{} for _ in reducers]  # m only falls: no key repeats
     remainder = {}
     work = dict(p.terms)
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heap = [(neg_key(m), m) for m in work]
     heapify(heap)
     leads = [r.lead() for r in reducers]
     while heap:
@@ -221,12 +245,13 @@ def reduce_full(p: Poly, reducers, budget: Budget):
                            for rm, rc in reducers[i].terms.items() if rm != lm]
                 for sm, _ in shifted:
                     if sm not in work:
-                        heappush(heap, (tuple(map(neg, key(sm))), sm))
+                        heappush(heap, (neg_key(sm), sm))
                 accumulate(shifted, into=work)
                 break
         else:
             remainder[m] = c
-    return [Poly(ring, q) for q in quotients], Poly(ring, remainder)
+    return ([Poly._folded(ring, q) for q in quotients],
+            Poly._folded(ring, remainder))
 
 
 def _traced(nodes, quotients):
@@ -239,10 +264,12 @@ class GroebnerBasis:
 
     A trace node (origin, quotients, scale) stands for scale * (origin -
     sum of q * node over its nonzero (node, q) quotients); origin is an
-    input index or (node, monomial, coefficient) terms.  The representation
-    elements[k] == sum_i reps[k][i] * input_gens[i] is lifted on demand and
-    memoized, and `cofactors` lifts only the elements its quotients use.
-    Normal forms spend from the step budget the basis was built with.
+    input index or (node, monomial, coefficient) terms.  Inputs are the
+    generators `input_gens` followed by the relations.  The representation
+    elements[k] == sum_i reps[k][i] * input_gens[i], modulo the relations,
+    is lifted on demand and memoized over the generators only: a relation
+    input lifts to zero.  `cofactors` lifts only the elements its quotients
+    use.  Normal forms spend from the step budget the basis was built with.
     """
 
     def __init__(self, ring, input_gens, elements, nodes, budget: Budget):
@@ -282,8 +309,10 @@ class GroebnerBasis:
                 stack.extend(pending)
                 continue
             stack.pop()
+            generator = leaf and origin < len(self.input_gens)
             self._reps[id(node)] = self._combine(
-                parts, {origin: {(0,) * self.ring.nvars: s}} if leaf else {})
+                parts, {origin: {(0,) * self.ring.nvars: s}} if generator
+                else {})
 
     def _dense(self, rep):
         return [Poly(self.ring, rep.get(i, ()))
@@ -298,7 +327,8 @@ class GroebnerBasis:
         return reduce_full(p, self.elements, self._budget)
 
     def cofactors(self, p: Poly):
-        """None if p is not in the ideal, else exact cofactors over inputs."""
+        """None if p is not in the ideal, else cofactors over the
+        generators, exact modulo the relations."""
         quotients, remainder = self.normal_form(p)
         if not remainder.is_zero():
             return None
@@ -308,11 +338,13 @@ class GroebnerBasis:
         return self._dense(self._combine(used, {}))
 
 
-def buchberger(gens, ring: PolyRing, budget: Budget | None = None
-               ) -> GroebnerBasis:
-    """Reduced Groebner basis of <gens>, with a reduction trace.
+def buchberger(gens, ring: PolyRing, budget: Budget | None = None,
+               relations=()) -> GroebnerBasis:
+    """Reduced Groebner basis of <gens, relations>, with a reduction trace.
 
-    Each nonzero input, reduced against the inputs before it, enters the
+    The inputs are the generators followed by the relations, and cofactors
+    are lifted over the generators alone (see `GroebnerBasis`).  Each
+    nonzero input, reduced against the inputs before it, enters the
     basis; then S-pairs are reduced, smallest lcm first, and every nonzero
     remainder enters too, recording a trace node of how it arose.  An
     S-polynomial is built as one Poly from the two shifted term lists.
@@ -331,6 +363,7 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
     Dropped pairs are skipped when they reach the top of the heap.
     """
     budget = budget or Budget()
+    gens = list(gens)
     key = ring.order.key
     basis, nodes, leads = [], [], []
     heap = []   # (order key of lcm, i, j)
@@ -363,7 +396,7 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None
         nodes.append((origin, quotients, 1))
         leads.append(mh)
 
-    for i, g in enumerate(gens):
+    for i, g in enumerate([*gens, *relations]):
         if not g.is_zero():
             reduce_and_enter(g, i)
 

@@ -63,8 +63,8 @@ def one_certificate(hs, g: EPoly, budget: Budget | None = None
     one_minus_yg = (ring.const(1)
                     - ring.var(ring.nvars - 1) * with_y(pres.encode(g)))
     gens = [with_y(pres.encode(h)) for h in hs] + [one_minus_yg]
-    gb = buchberger(gens + [with_y(rel) for rel in pres.relations()], ring,
-                    budget)
+    gb = buchberger(gens, ring, budget,
+                    [with_y(rel) for rel in pres.relations()])
     cof = gb.cofactors(ring.const(1))
     if cof is None:
         return CertificateResult(found=False, lattice=pres.describe())

@@ -353,13 +353,17 @@ def saturate_level_one(ideal: IdealHandle) -> SaturationOutcome:
         raise PreconditionError("saturation requires a proper ideal")
     nvars = ideal.nvars
     added: list[EPoly] = []
+    cut = None
     for round_no in range(1, _MAX_SATURATION_ROUNDS + 1):
         one = work.membership(EPoly.const(nvars, 1))
         if one.member:
             return SaturationOutcome(
                 status="unit", generators=work.gens, added=tuple(added),
                 rounds=round_no, certificate=one.cofactors)
-        cut = work.intersect_subring(0)
+        # A cut equal to the last round's keeps that handle and its basis.
+        fresh_cut = work.intersect_subring(0)
+        if cut is None or fresh_cut.gens != cut.gens:
+            cut = fresh_cut
         # Make every zero-constant generator of the cut a lattice direction,
         # then find all directions lying inside the cut.
         domain_gens = [g for g in cut.gens if g.constant_term() == 0

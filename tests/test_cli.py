@@ -477,12 +477,14 @@ REFERENCE_IDEAL = ("E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2",
 # Each command spends these steps in all, over several Groebner runs and
 # normal forms (and one per tower level built); no single run or normal
 # form spends more than 251 of them.  saturate's stabilized round reuses
-# the elimination basis of its cut for the exp-compatibility check.
+# the elimination basis of its cut for the exp-compatibility check.  That
+# elimination, in extend, saturate and rabinowitsch alike, spends 81
+# steps: the directions above the cut share one inverse.
 @pytest.mark.parametrize("steps, argv", [
     (225, ["member", "X1*X2*X3-E(X1+X2)"]),
-    (388, ["extend", "--levels", "1", "--query", "E(X1*X2*X3-E(X1+X2))-1"]),
-    (377, ["saturate"]),
-    (411, ["rabinowitsch", "--g", "X1"]),
+    (309, ["extend", "--levels", "1", "--query", "E(X1*X2*X3-E(X1+X2))-1"]),
+    (298, ["saturate"]),
+    (332, ["rabinowitsch", "--g", "X1"]),
 ], ids=["member", "extend", "saturate", "rabinowitsch"])
 def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):
     path = ideal_file("I.txt", *REFERENCE_IDEAL)

@@ -87,7 +87,7 @@ class TestGroebner:
         # u1^60 - 1 and the unit relation, a basis of degree 31.
         gens = [X.exp() - 1]
         fine = present(gens + [(X * Fraction(1, 60)).exp()])
-        bases = [handle.groebner() for handle in [
+        presented = [handle.lattice_basis() for handle in [
             IdealHandle([X, X * X + 1]),
             IdealHandle([X.exp() - 1, X]),
             IdealHandle([(X * Fraction(1, 2)).exp() - 1]),
@@ -96,20 +96,47 @@ class TestGroebner:
             IdealHandle([P(t, 3) for t in ("E(X1)-X2-1", "E(X2)-X3-1",
                                            "X1*E(X3)-X2",
                                            "X1*X2*X3-E(X1+X2)")]),
-        ]] + [IdealHandle(gens)._basis(fine, fine.ring)]
-        assert "1*v1^31 + -1*u1^29" in [str(e) for e in bases[-1].elements]
-        for gb in bases:
+        ]] + [(fine, IdealHandle(gens)._basis(fine, fine.ring))]
+        assert "1*v1^31 + -1*u1^29" in [
+            str(e) for e in presented[-1][1].elements]
+        for pres, gb in presented:
             for i in range(len(gb.elements)):
                 for j in range(i):
                     s = spolynomial(gb.elements[i], gb.elements[j])
                     _, rem = gb.normal_form(s)
                     assert rem.is_zero()
+            # A representation over the generators holds modulo the unit
+            # relations, which decode to zero: decode both sides.
             ring = gb.ring
             for element, rep in zip(gb.elements, gb.reps):
                 acc = ring.zero()
                 for r, g in zip(rep, gb.input_gens):
                     acc = acc + r * g
-                assert acc == element
+                assert pres.decode(acc) == pres.decode(element)
+
+    def test_no_relation_input_gets_a_cofactor(self):
+        handle = IdealHandle([P(t, 3) for t in (
+            "E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2", "X1*X2*X3-E(X1+X2)")])
+        pres, gb = handle.lattice_basis()
+        assert len(pres.relations()) == 3
+        # The trace reaches the relation inputs 4, 5 and 6 ...
+        leaves, stack = set(), list(gb._nodes)
+        while stack:
+            origin, quotients, _ = stack.pop()
+            if isinstance(origin, int):
+                leaves.add(origin)
+            else:
+                stack.extend(n for n, _, _ in origin)
+            stack.extend(n for n, _ in quotients)
+        assert {4, 5, 6} <= leaves
+        # ... but representations are lifted over the 4 generators only.
+        assert len(gb.input_gens) == len(handle.gens) == 4
+        assert all(len(rep) == 4 for rep in gb.reps)
+        assert all(i < 4 for rep in gb._reps.values() for i in rep)
+        x1, x2 = EPoly.var(3, 0), EPoly.var(3, 1)
+        query = (-x2).exp() * handle.gens[3] + x1 * handle.gens[0]
+        result = handle.membership(query)
+        assert result.member and len(result.cofactors) == 4
 
     def test_budget_exceeded_is_explicit(self):
         handle = IdealHandle([parse_epoly("X1^3*X2 - X1", 2),

@@ -244,6 +244,26 @@ class TestSaturation:
         assert found == _directions_in_ideal(directions, IdealHandle(gens))
         assert found == [x1 - 2 * x2]
 
+    def test_equal_cut_keeps_its_basis(self, monkeypatch):
+        """Round 2 of <X1, E(3*X1) - 1> adds E(X1) - 1 and cuts to <X1>
+        again; the directions are then found over round 1's cut basis, so
+        no Buchberger run repeats the inputs and order of an earlier one."""
+        from expoly import ideals
+        runs = []
+        buchberger = ideals.buchberger
+
+        def spy(*args):
+            gens, ring = args[0], args[1]
+            runs.append((tuple(tuple(g.terms.items()) for g in gens),
+                         ring.names, ring.order.block))
+            return buchberger(*args)
+
+        monkeypatch.setattr(ideals, "buchberger", spy)
+        outcome = saturate_level_one(IdealHandle([X, (3 * X).exp() - 1]))
+        assert outcome.succeeded and outcome.rounds == 2
+        assert outcome.added == (X.exp() - 1,)
+        assert len(runs) == 5 and len(set(runs)) == 5
+
     def test_caller_handle_is_never_presented(self):
         """The rounds run on a work handle, and properness is checked
         there too, so the caller's handle builds no basis."""
