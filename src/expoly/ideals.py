@@ -147,14 +147,15 @@ class LaurentPresentation:
                 f"{p.nvars}")
         pairs = []
         width = self.ring.nvars - self.nvars
+        shared = self._shared
         for (mono, exponent), coeff in p.terms:
             coords = self.exponent_coordinates(exponent)
             if coords is None:
                 return None
             full = list(mono) + [0] * width
-            t_power = max([0] + [-coords[i] for i in self._shared])
+            t_power = max(0, *(-coords[i] for i in shared)) if shared else 0
             for i, ((u, v), k) in enumerate(zip(self._uv, coords)):
-                inverse = t_power if i in self._shared else max(-k, 0)
+                inverse = t_power if i in shared else (-k if k < 0 else 0)
                 full[u], full[v] = k + inverse, inverse
             pairs.append((tuple(full), coeff))
         return Poly(self.ring, pairs)

@@ -363,7 +363,6 @@ def buchberger(gens, ring: PolyRing, budget: Budget | None = None,
     Dropped pairs are skipped when they reach the top of the heap.
     """
     budget = budget or Budget()
-    gens = list(gens)
     key = ring.order.key
     basis, nodes, leads = [], [], []
     heap = []   # (order key of lcm, i, j)
