@@ -54,18 +54,17 @@ def _load_ideal(args):
 def _point(args, nvars):
     groups = [g for g in args.at.split(";") if g.strip()]
     if args.model == "series":
-        series = [TruncatedSeries([parse_scalar(c) for c in g.split(",")],
-                                  args.order)
-                  for g in groups]
-        if len(series) != nvars:
-            raise VariableCountError(
-                f"point has {len(series)} coordinates, need {nvars}")
-        return SeriesPoint(series, order=args.order)
-    values = [FloatPoint.lift(parse_scalar(g)) for g in groups]
-    if len(values) != nvars:
+        point = SeriesPoint(
+            [TruncatedSeries([parse_scalar(c) for c in g.split(",")],
+                             args.order) for g in groups],
+            order=args.order)
+    else:
+        point = FloatPoint([FloatPoint.lift(parse_scalar(g)) for g in groups],
+                           tolerance=args.tol)
+    if len(point.values) != nvars:
         raise VariableCountError(
-            f"point has {len(values)} coordinates, need {nvars}")
-    return FloatPoint(values, tolerance=args.tol)
+            f"point has {len(point.values)} coordinates, need {nvars}")
+    return point
 
 
 def _fmt_float(v) -> str:
@@ -225,7 +224,7 @@ def cmd_rabinowitsch(args):
 def cmd_demo(args):
     lines = []
     out = lines.append
-    rng = random.Random(args.seed)
+    rng = random.Random(0)
     x = EPoly.var(1, 0)
     x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
 
@@ -490,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rabinowitsch)
 
     p = sub.add_parser("demo", help="deterministic worked examples")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
 
     return top

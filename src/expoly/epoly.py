@@ -27,12 +27,12 @@ Values are built by the folding constructor `EPoly(nvars, terms)`: it adds
 up repeated keys, drops zero sums and sorts.  `EPoly.combination` is the one
 way to build a sum of products a_1*b_1 + ... + a_m*b_m: every product term
 goes to a single constructor call, which folds and sorts once, and `a * b`
-of two values uses the same product rule.  Operations whose result is canonical by
-construction skip both through the private `EPoly._canonical`:
-`zero`, negation, multiplication by a nonzero scalar (the term order ignores
-coefficients), `exp` (a single term), and filters of a value's sorted terms
-(`layer_component`, `layer_decompose`, and in `tower.rewrite` the
-layer-other-than-n part of an exponent and the t^0 group of a value).
+uses the same product rule, a scalar factor included.  Operations whose
+result is canonical by construction skip both through the private
+`EPoly._canonical`: `zero`, negation, `exp` (a single term), and filters of
+a value's sorted terms (`layer_component`, `layer_decompose`, and in
+`tower.rewrite` the layer-other-than-n part of an exponent and the t^0
+group of a value).
 """
 
 from __future__ import annotations
@@ -191,12 +191,6 @@ class EPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            if not other:
-                return EPoly.zero(self.nvars)
-            return EPoly._canonical(
-                self.nvars,
-                tuple((k, as_scalar(v * other)) for k, v in self._terms))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

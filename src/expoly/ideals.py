@@ -9,14 +9,15 @@ layers: components of different layers share no coordinate, so each
 direction lies in a single layer.  Each direction becomes a unit u_i (with
 inverse v_i, relation u_i*v_i - 1) of an ordinary polynomial ring, where
 Groebner bases decide membership and cofactors certify it.  Cofactors are
-lifted from the basis's reduction trace only when a certificate is
-printed, and over the generators only: the relations decode to zero, so
-their cofactors are never built.  A monomial decodes by its net powers,
-power of u_i minus power of its inverse, to one exponent sum k_i*b_i.
-Block elimination computes subring intersections over the same Laurent
-ring presented with one inverse t for all the directions it eliminates,
-with the one relation t*prod(u_i) - 1: m + 1 block variables for m
-directions, not 2m (the one-variable presentation of a localization).
+lifted from the basis's reduction trace only when `membership` is asked;
+`decide` lifts none.  They are lifted over the generators only: the
+relations decode to zero, so their cofactors are never built.  A monomial
+decodes by its net powers, power of u_i minus power of its inverse, to one
+exponent sum k_i*b_i.  Block elimination computes subring intersections
+over the same Laurent ring presented with one inverse t for all the
+directions it eliminates, with the one relation t*prod(u_i) - 1: m + 1
+block variables for m directions, not 2m (the one-variable presentation of
+a localization).
 
 A handle's grevlex basis is built once, over the lattice of its
 generators.  A query whose exponents fall outside that lattice is split by

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .epoly import EPoly
-from .errors import Budget, InternalError, VariableCountError
+from .errors import Budget, InternalError
 from .ideals import IdealHandle, present
 from .polyring import Poly, PolyRing, buchberger
 from .sparse import accumulate
@@ -48,12 +48,10 @@ def one_certificate(hs, g: EPoly, budget: Budget | None = None
                     ) -> CertificateResult:
     """Search for 1 = sum t_i*h_i + (1 - Y*g)*r over the current lattice
     slice; cofactors of a found certificate are verified by expansion.
-    Reduction steps spend from `budget`, as in `buchberger`."""
+    Reduction steps spend from `budget`, as in `buchberger`.  `present`
+    rejects a system of mixed variable counts."""
     hs = list(hs)
     nvars = g.nvars
-    for h in hs:
-        if h.nvars != nvars:
-            raise VariableCountError("arity mismatch in the system")
     pres = present(hs + [g], nvars=nvars)
     ring = PolyRing(pres.ring.names + ("Y",))
 

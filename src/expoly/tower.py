@@ -347,15 +347,14 @@ def saturate_level_one(ideal: IdealHandle) -> SaturationOutcome:
     """
     if ideal.layer() > 1:
         raise PreconditionError("saturation operates on ideals of R_1")
-    # Properness is checked on the work handle, whose basis round 1 reuses.
     work = ideal._sharing(ideal.gens)
-    if not work.is_proper():
-        raise PreconditionError("saturation requires a proper ideal")
     nvars = ideal.nvars
     added: list[EPoly] = []
     cut = None
     for round_no in range(1, _MAX_SATURATION_ROUNDS + 1):
         one = work.membership(EPoly.const(nvars, 1))
+        if one.member and round_no == 1:
+            raise PreconditionError("saturation requires a proper ideal")
         if one.member:
             return SaturationOutcome(
                 status="unit", generators=work.gens, added=tuple(added),

@@ -502,6 +502,7 @@ def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):
     ["khovanskii", "--budget", "5", "E(X1)-1", "--at", "0"],
     ["demo", "--json"],
     ["demo", "--vars", "1"],
+    ["demo", "--seed", "1"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_unread_option_is_a_usage_error(capsys, argv):
     code, err = _usage_error(capsys, *argv)

@@ -75,6 +75,7 @@ def test_epoly_arithmetic_keeps_coefficients_canonical(p, q, c):
                   p * Fraction(4, 2), p.constant_term() + q):
         assert _epoly_canonical(value)
     assert _canonical(p.constant_term())
+    assert p * c == c * p == p * EPoly.const(2, c)
     parsed = parse_epoly(str(p * q), 2)
     assert parsed == p * q and _epoly_canonical(parsed)
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from expoly import (EPoly, IMAG_UNIT, InternalError, extract_power,
-                    nullstellensatz_pipeline, one_certificate, parse_epoly)
+from expoly import (EPoly, IMAG_UNIT, InternalError, VariableCountError,
+                    extract_power, nullstellensatz_pipeline, one_certificate,
+                    parse_epoly)
 from expoly import rabin
 from expoly.errors import Budget
 
@@ -49,6 +50,11 @@ class TestCertificates:
         x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
         cert = one_certificate([x1], x2)
         assert not cert.found
+
+    def test_mixed_arities_raise(self):
+        for hs, g in (([X, EPoly.var(2, 0)], X), ([X], EPoly.var(2, 0))):
+            with pytest.raises(VariableCountError):
+                one_certificate(hs, g)
 
     def test_extract_power_simple(self):
         cert = one_certificate([X], X)

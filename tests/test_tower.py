@@ -264,6 +264,20 @@ class TestSaturation:
         assert outcome.added == (X.exp() - 1,)
         assert len(runs) == 5 and len(set(runs)) == 5
 
+    def test_one_is_asked_about_once_per_round(self, monkeypatch):
+        """Round 1's membership of 1 is also the properness check."""
+        asked = []
+        for name in ("decide", "membership"):
+            method = getattr(IdealHandle, name)
+
+            def spy(handle, p, method=method):
+                asked.append(p == ONE)
+                return method(handle, p)
+
+            monkeypatch.setattr(IdealHandle, name, spy)
+        outcome = saturate_level_one(IdealHandle([X, (3 * X).exp() - 1]))
+        assert outcome.rounds == 2 and asked.count(True) == 2
+
     def test_caller_handle_is_never_presented(self):
         """The rounds run on a work handle, and properness is checked
         there too, so the caller's handle builds no basis."""
