@@ -1,10 +1,10 @@
 """Exact computation in free exponential polynomial rings.
 
 Public surface: canonical exponential polynomials with ordinal complexity,
-derivations and Jacobians, truncated-series evaluation models, ideal
-membership with certificates over finite exponent lattices, tower extension
-of ideals into exponential ideals, and the Rabinowitsch certificate
-pipeline.
+derivations and Jacobians, exact evaluation at truncated-series points,
+ideal membership with certificates over finite exponent lattices, tower
+extension of ideals into exponential ideals, and the Rabinowitsch
+certificate pipeline.
 """
 
 from .epoly import EPoly, ord_reduce
@@ -16,7 +16,7 @@ from .errors import (BudgetExceededError, ExpolyError, InternalError,
 from .textio import parse_epoly, parse_ideal_file
 from .ediff import (DerivationSpec, apply_derivation, jacobian,
                     partial_derivative)
-from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
+from .models import (SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .ideals import (IdealHandle, LaurentPresentation, MembershipResult,
                      present)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError", "CertificateResult", "DaggerReport",
-    "DerivationSpec", "EPoly", "ExpolyError", "FloatPoint",
+    "DerivationSpec", "EPoly", "ExpolyError",
     "GaussianRational", "IMAG_UNIT", "IdealHandle", "InternalError",
     "LaurentPresentation", "MembershipResult", "OrdinalCNF", "ParseError",
     "PartialityError", "PipelineReport", "PowerResult", "PreconditionError",

@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (partiality, precondition violation,
-a float-model value outside the float range, terms nested deeper than the
+an `--order` too large for an index, terms nested deeper than the
 recursion limit; a tower of any height answers), 2 step budget exceeded
 (`--budget` counts every reduction step of the command and every tower
 level `extend` builds), 3 I/O or syntax error (a usage error such as a
-`--tol` that is not a finite number >= 0 or a `--vars` above 100,000, or
-a file that is not UTF-8, included; an error in an ideal file names its
-line of the file), 4 internal error (a failed consistency check such as a
-certificate that does not re-expand).
+`--vars` above 100,000, or a file that is not UTF-8, included; an error in
+an ideal file names its line of the file), 4 internal error (a failed
+consistency check such as a certificate that does not re-expand).
 
 Each subcommand returns its `--json` document and its text lines; `main`
 alone prints one of them, or maps an error to its exit code.  `--json`
@@ -18,6 +17,7 @@ switches every subcommand but `demo` to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import random
@@ -29,7 +29,7 @@ from .epoly import EPoly, ord_reduce
 from .errors import (BudgetExceededError, ExpolyError, InternalError,
                      ParseError, PreconditionError, VariableCountError)
 from .ideals import IdealHandle
-from .models import (FloatPoint, SeriesPoint, TruncatedSeries, eval_epoly,
+from .models import (SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .rabin import nullstellensatz_pipeline
 from .scalars import parse_scalar
@@ -53,24 +53,14 @@ def _load_ideal(args):
 
 def _point(args, nvars):
     groups = [g for g in args.at.split(";") if g.strip()]
-    if args.model == "series":
-        point = SeriesPoint(
-            [TruncatedSeries([parse_scalar(c) for c in g.split(",")],
-                             args.order) for g in groups],
-            order=args.order)
-    else:
-        point = FloatPoint([FloatPoint.lift(parse_scalar(g)) for g in groups],
-                           tolerance=args.tol)
+    point = SeriesPoint(
+        [TruncatedSeries([parse_scalar(c) for c in g.split(",")], args.order)
+         for g in groups],
+        order=args.order)
     if len(point.values) != nvars:
         raise VariableCountError(
             f"point has {len(point.values)} coordinates, need {nvars}")
     return point
-
-
-def _fmt_float(v) -> str:
-    if abs(v.imag) < 1e-12:
-        return f"{v.real:.6g}"
-    return f"{v.real:.6g}{v.imag:+.6g}i"
 
 
 def _true_false(flag) -> str:
@@ -88,13 +78,9 @@ def cmd_eval(args):
     [p], nvars = _parse_exprs([args.expr], args.vars)
     point = _point(args, nvars)
     value = eval_epoly(p, point)
-    if args.model == "series":
-        return ({"model": "series", "order": point.order,
-                 "coefficients": [str(c) for c in value.coeffs]},
-                [str(value)])
-    value = FloatPoint.finite(value)
-    return ({"model": "float", "re": value.real, "im": value.imag},
-            [_fmt_float(value)])
+    return ({"model": "series", "order": point.order,
+             "coefficients": [str(c) for c in value.coeffs]},
+            [str(value)])
 
 
 def cmd_derive(args):
@@ -301,9 +287,7 @@ def cmd_demo(args):
     gi = IdealHandle([parse_epoly("E(X1) - 2"), parse_epoly("E(i*X1) - 1")])
     out(f"1 member of <f, g>: {gi.membership(EPoly.const(1, 1)).member}")
     for val in (math.log(2), 2 * math.pi):
-        fp = FloatPoint([complex(val)])
-        fval = eval_epoly(parse_epoly("E(X1) - 2"), fp)
-        gval = eval_epoly(parse_epoly("E(i*X1) - 1"), fp)
+        fval, gval = cmath.exp(val) - 2, cmath.exp(1j * val) - 1
         out(f"  at x={val:.6f}: |f| = {abs(fval):.6f}, |g| = {abs(gval):.6f}")
     report = nullstellensatz_pipeline(
         [parse_epoly("E(X1) - 1"), parse_epoly("E(i*X1) - 1")],
@@ -356,19 +340,6 @@ def _int_at_least(low: int, what: str, high: float = math.inf):
     return parse
 
 
-def _tolerance(text: str) -> float:
-    """An argparse type for finite numbers >= 0; anything else (NaN, an
-    infinity, a negative number) is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number >= 0, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="expoly",
@@ -397,22 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_ord)
 
-    def model_point(p):
-        """Add the evaluation model and point options of eval and
-        khovanskii."""
-        p.add_argument("--model", choices=("series", "float"),
-                       default="series")
+    def series_point(p):
+        """Add the series point options of eval and khovanskii."""
         p.add_argument("--order", type=int, default=8,
                        help="series truncation order (default 8)")
-        p.add_argument("--tol", type=_tolerance, default=1e-9,
-                       help="float-model zero tolerance")
         p.add_argument("--at", required=True,
                        help="point: per-variable groups separated by ';', "
                             "series coefficients separated by ','")
 
-    p = sub.add_parser("eval", help="evaluate in a model")
+    p = sub.add_parser("eval", help="evaluate at a truncated-series point")
     p.add_argument("expr")
-    model_point(p)
+    series_point(p)
     common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -434,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("khovanskii",
                        help="system vanishes with nonzero jacobian at a point")
     p.add_argument("exprs", nargs="+")
-    model_point(p)
+    series_point(p)
     common(p, vars_flag=False)
     p.set_defaults(func=cmd_khovanskii)
 
@@ -495,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Exit code of each error kind, most specific first.  A file that is not
-# UTF-8 text is an I/O error.  A number too large for a float or an index
-# (such as a float-model value) and a nesting of terms deeper than the
-# recursion limit are domain errors.
+# UTF-8 text is an I/O error.  A number too large for an index (such as an
+# `eval --order` of 10^20) and a nesting of terms deeper than the recursion
+# limit are domain errors.
 _EXIT_CODES = ((BudgetExceededError, 2), (ParseError, 3), (OSError, 3),
                (UnicodeDecodeError, 3), (InternalError, 4), (ExpolyError, 1),
                (OverflowError, 1), (RecursionError, 1))

@@ -1,20 +1,18 @@
-"""Concrete partial exponential models for evaluating E-polynomials.
+"""The exact model for evaluating E-polynomials.
 
-Two models are provided: exact truncated power series K[[t]]/t^N with the
-Neumann exponential on the maximal ideal, and an inexact floating model
-(complex floats, total exp) for sanity checks only.
+Values are truncated power series K[[t]]/t^N over Q or Q(i), with the
+Neumann exponential on the maximal ideal; E is partial, defined only where
+the constant coefficient is zero.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 from .ediff import jacobian
 from .epoly import EPoly
 from .errors import PartialityError, PreconditionError, VariableCountError
-from .scalars import (GaussianRational, as_scalar, format_scalar, scalar_im,
-                      scalar_inv, scalar_re)
+from .scalars import GaussianRational, as_scalar, format_scalar, scalar_inv
 
 
 class TruncatedSeries:
@@ -155,71 +153,37 @@ class SeriesPoint:
     def order(self) -> int:
         return self.values[0].order
 
-    def lift(self, c):
-        return TruncatedSeries.const(c, self.order)
 
-    def exp(self, v, node: EPoly):
-        if v.coeffs[0] != 0:
-            raise PartialityError(
-                f"E-node E({node}) evaluates outside the exponential domain:"
-                f" constant coefficient {v.coeffs[0]}")
-        return series_exp(v)
-
-    @staticmethod
-    def is_zero(v) -> bool:
-        return v.is_zero()
-
-
-class FloatPoint:
-    """Complex floats with total exp; for demonstrations, never exact."""
-
-    def __init__(self, values, tolerance: float = 1e-9):
-        self.values = tuple(complex(v) for v in values)
-        self.tolerance = tolerance
-
-    @staticmethod
-    def lift(c):
-        return complex(float(scalar_re(c)), float(scalar_im(c)))
-
-    def exp(self, v, node: EPoly):
-        return cmath.exp(v)
-
-    @staticmethod
-    def finite(v: complex) -> complex:
-        """v itself; an infinite or NaN value is a domain error."""
-        if not cmath.isfinite(v):
-            raise PreconditionError(
-                f"float-model value {v} lies outside the float range")
-        return v
-
-    def is_zero(self, v) -> bool:
-        return abs(self.finite(v)) <= self.tolerance
-
-
-def eval_epoly(p: EPoly, point):
-    """Ring-homomorphic evaluation; E-nodes go through the model exponential."""
+def eval_epoly(p: EPoly, point: SeriesPoint) -> TruncatedSeries:
+    """Ring-homomorphic evaluation at a series point; an E-node takes the
+    series exponential of its argument's value."""
     if len(point.values) != p.nvars:
         raise VariableCountError(
             f"point has {len(point.values)} coordinates, value has "
             f"{p.nvars} variables")
     total = None
     for (mono, exponent), coeff in p.terms:
-        acc = point.lift(coeff)
+        acc = TruncatedSeries.const(coeff, point.order)
         for j, e in enumerate(mono):
             if e:
                 acc = acc * point.values[j] ** e
         if exponent is not None:
-            acc = acc * point.exp(eval_epoly(exponent, point), exponent)
+            v = eval_epoly(exponent, point)
+            if v.coeffs[0] != 0:
+                raise PartialityError(
+                    f"E-node E({exponent}) evaluates outside the exponential"
+                    f" domain: constant coefficient {v.coeffs[0]}")
+            acc = acc * series_exp(v)
         total = acc if total is None else total + acc
     if total is None:
-        return point.lift(0)
+        return TruncatedSeries.const(0, point.order)
     return total
 
 
-def khovanskii_check(fs, point) -> bool:
+def khovanskii_check(fs, point: SeriesPoint) -> bool:
     """Square system: all f_i vanish at the point and the Jacobian does not."""
     fs = list(fs)
     for f in fs:
-        if not point.is_zero(eval_epoly(f, point)):
+        if not eval_epoly(f, point).is_zero():
             return False
-    return not point.is_zero(eval_epoly(jacobian(fs), point))
+    return not eval_epoly(jacobian(fs), point).is_zero()

@@ -4,8 +4,8 @@ Each example picks a subcommand and fills its arguments from
 `build_parser()`'s own option table, so an option added later is drawn
 without editing this file.  Values include edge cases: negative, zero and
 large integers, digits of other scripts, superscripts, malformed
-expressions and points, values outside the float range, and missing,
-empty, malformed, non-UTF-8 and directory paths.  `cli.main` runs in
+expressions and points, and missing, empty, malformed, non-UTF-8 and
+directory paths.  `cli.main` runs in
 process.  It must return or exit with 0-4 and let no exception escape; an
 error exit writes an `error:` or usage line, and `--json` output parses as
 strict JSON (no NaN or Infinity token).
@@ -42,8 +42,6 @@ INT_TEXTS = mostly(st.integers(1, 4).map(str),
 # unbounded order is a known open defect, not an exit-code one.
 ORDER_TEXTS = mostly(st.integers(1, 12).map(str),
                      st.sampled_from(["0", "-2", "٣", "²", "x"]))
-FLOAT_TEXTS = mostly(st.sampled_from(["1e-9", "0.5"]),
-                     st.sampled_from(["0", "-1", "nan", "inf", "x"]))
 EXPRESSIONS = mostly(
     st.sampled_from(["0", "1", "X1", "X2", "X1^2 + X1", "E(X1) - 1",
                      "E(X1) - 2", "E(1/2*X1) - 1", "E(i*X1) - 1",
@@ -93,16 +91,12 @@ SUBCOMMANDS = _subcommands()
 
 def _values(action, paths):
     """A strategy for the text of one value of `action`."""
-    if action.choices is not None:
-        return mostly(st.sampled_from(list(action.choices)), st.just("x"))
     if action.dest in paths:
         return paths[action.dest]
     if action.dest == "at":
         return POINTS
     if action.dest == "order":
         return ORDER_TEXTS
-    if action.type is float:
-        return FLOAT_TEXTS
     if action.type is not None:
         return INT_TEXTS
     return EXPRESSIONS

@@ -20,15 +20,11 @@ REFERENCE_IDEAL = ("E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2",
 CASES = [
     ("ord", None, ["ord", "X1 + 2*E(X1) - E(E(X2))"]),
     ("eval-series", None, ["eval", "E(X1)-1", "--at", "0,1", "--order", "4"]),
-    ("eval-float", None,
-     ["eval", "E(X1)+X2", "--model", "float", "--at", "0.5;-2"]),
     ("derive-var", None, ["derive", "X1*E(X1*X2)", "--var", "2"]),
     ("derive-action", None,
      ["derive", "X1*E(X2)", "--action", "X1", "--action", "1"]),
     ("jacobian", None, ["jacobian", "E(X1)-X2", "X1*X2"]),
     ("khovanskii-true", None, ["khovanskii", "E(X1)-1", "--at", "0"]),
-    ("khovanskii-float", None,
-     ["khovanskii", "E(X1)-1", "--model", "float", "--at", "0.5"]),
     ("member-true", REFERENCE_IDEAL,
      ["member", "X1*X2*X3-E(X1+X2)", "--ideal", "IDEAL"]),
     ("member-false", REFERENCE_IDEAL, ["member", "X1", "--ideal", "IDEAL"]),
@@ -61,8 +57,6 @@ DIGESTS = {
     "ord-json": "ac04d4f70b7c9094df1e",
     "eval-series-text": "d6bfdea05a498ba2cfcf",
     "eval-series-json": "ddef5ac0acd498bdcbbd",
-    "eval-float-text": "3d2702da7bf4ce6fedaf",
-    "eval-float-json": "f09b09841e92fa88addc",
     "derive-var-text": "46b08085f20c37cd4f94",
     "derive-var-json": "babfcbf4539e1d133d73",
     "derive-action-text": "0a65c98468dcebab34c0",
@@ -71,8 +65,6 @@ DIGESTS = {
     "jacobian-json": "4a7396f11fabca031533",
     "khovanskii-true-text": "a17fcf0a2f50e2d495e4",
     "khovanskii-true-json": "edef64a79a52753b5510",
-    "khovanskii-float-text": "2ed27c1421e6928dbe13",
-    "khovanskii-float-json": "ddeba07fdf8052728a87",
     "member-true-text": "47411a6e7262b811be08",
     "member-true-json": "f0bb5646a89d7e7dc8a9",
     "member-false-text": "2ed27c1421e6928dbe13",

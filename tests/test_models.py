@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from expoly import (DerivationSpec, EPoly, FloatPoint, PartialityError,
-                    SeriesPoint, TruncatedSeries, apply_derivation,
-                    eval_epoly, khovanskii_check, series_exp)
+from expoly import (DerivationSpec, EPoly, PartialityError, SeriesPoint,
+                    TruncatedSeries, apply_derivation, eval_epoly,
+                    khovanskii_check, series_exp)
 
 from helpers import random_evaluable
 
@@ -78,17 +78,3 @@ def test_khovanskii_fixtures():
     # degenerate jacobian
     assert not khovanskii_check([x * x], zero_pt)
 
-
-def test_khovanskii_float_model():
-    x = EPoly.var(1, 0)
-    assert khovanskii_check([x.exp() - 1], FloatPoint([0.0]))
-    assert not khovanskii_check([x.exp() - 1], FloatPoint([1.0]))
-    # tolerance is configurable
-    loose = FloatPoint([1e-12], tolerance=1e-6)
-    assert khovanskii_check([x], loose)
-
-
-def test_float_model_is_total():
-    x = EPoly.var(1, 0)
-    value = eval_epoly(x.exp(), FloatPoint([1.0]))
-    assert abs(value - 2.718281828459045) < 1e-12
