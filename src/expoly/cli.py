@@ -326,6 +326,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Arguments a subcommand does not know are its own usage error."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _int_at_least(low: int, what: str, high: float = math.inf):
     """An argparse type for decimal integers >= low (and <= high); anything

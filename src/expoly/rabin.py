@@ -16,7 +16,6 @@ silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .epoly import EPoly
@@ -32,8 +31,7 @@ class _YGraded(NamedTuple):
     coeffs: dict
 
 
-@dataclass
-class CertificateResult:
+class CertificateResult(NamedTuple):
     found: bool
     t: tuple | None = None          # Y-graded cofactors of the h_i
     r: _YGraded | None = None       # Y-graded cofactor of 1 - Y*g
@@ -88,8 +86,7 @@ def _decode_with_y(q: Poly, pres) -> _YGraded:
                                for deg, pairs in slices.items()))
 
 
-@dataclass
-class PowerResult:
+class PowerResult(NamedTuple):
     d: int
     cofactors: tuple
     verified: bool
@@ -119,8 +116,7 @@ def extract_power(cert: CertificateResult, hs, g: EPoly) -> PowerResult:
     return PowerResult(d=d, cofactors=cofactors, verified=True)
 
 
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     dagger: DaggerReport
     certificate: CertificateResult
     power: PowerResult | None

@@ -15,7 +15,6 @@ certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .epoly import EPoly, term_layer
@@ -176,13 +175,12 @@ def augmentation_mod(u: EPoly, ideal: IdealHandle, layer: int
     return image, ideal.membership(image).member
 
 
-@dataclass
-class DaggerReport:
+class DaggerReport(NamedTuple):
     layer: int
     holds: bool
-    witness: EPoly | None = None
-    checked: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)  # outside exponential domain
+    witness: EPoly | None
+    checked: list
+    skipped: list  # outside exponential domain
 
     def describe(self) -> str:
         if self.holds:
@@ -205,22 +203,18 @@ def dagger_check(ideal: IdealHandle, layer: int | None = None) -> DaggerReport:
     if layer == 0:
         # The cut lives in the base field; for a proper ideal it is {0} and
         # E(0) - 1 = 0 is a member.
-        return DaggerReport(layer=0, holds=True,
-                            checked=[EPoly.zero(ideal.nvars)])
-    sub = ideal.intersect_subring(layer - 1)
-    report = DaggerReport(layer=layer, holds=True)
-    for g in sub.gens:
+        return DaggerReport(0, True, None, [EPoly.zero(ideal.nvars)], [])
+    checked, skipped = [], []
+    for g in ideal.intersect_subring(layer - 1).gens:
         if g.is_zero():
             continue
         if g.constant_term() != 0:
-            report.skipped.append(g)
-            continue
-        if not ideal.membership(g.exp() - 1).member:
-            report.holds = False
-            report.witness = g
-            return report
-        report.checked.append(g)
-    return report
+            skipped.append(g)
+        elif ideal.membership(g.exp() - 1).member:
+            checked.append(g)
+        else:
+            return DaggerReport(layer, False, g, checked, skipped)
+    return DaggerReport(layer, True, None, checked, skipped)
 
 
 class TowerIdeal:
@@ -321,8 +315,7 @@ class TowerIdeal:
         }
 
 
-@dataclass
-class SaturationOutcome:
+class SaturationOutcome(NamedTuple):
     status: str                       # "stabilized" or "unit"
     generators: tuple                 # final generator list
     added: tuple                      # exponential generators introduced
@@ -426,15 +419,13 @@ def _directions_in_ideal(directions, cut: IdealHandle) -> list[EPoly]:
     return out
 
 
-@dataclass
-class RealKernelEntry:
+class RealKernelEntry(NamedTuple):
     witnesses: tuple
     sum_in_kernel: bool
     offenders: tuple  # witnesses whose own image misses the ideal
 
 
-@dataclass
-class RealKernelReport:
+class RealKernelReport(NamedTuple):
     layer: int
     entries: list
 
@@ -450,7 +441,7 @@ def real_kernel_check(ideal: IdealHandle, witness_tuples, layer: int
     every summand must too.  Offending witnesses are reported; none are
     expected when the underlying ideal is real.
     """
-    report = RealKernelReport(layer=layer, entries=[])
+    entries = []
     for tup in witness_tuples:
         tup = tuple(tup)
         total = EPoly.combination(ideal.nvars, ((u, u) for u in tup))
@@ -459,5 +450,5 @@ def real_kernel_check(ideal: IdealHandle, witness_tuples, layer: int
         if in_kernel:
             offenders = tuple(u for u in tup
                               if not augmentation_mod(u, ideal, layer)[1])
-        report.entries.append(RealKernelEntry(tup, in_kernel, offenders))
-    return report
+        entries.append(RealKernelEntry(tup, in_kernel, offenders))
+    return RealKernelReport(layer, entries)

@@ -477,7 +477,7 @@ def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_unread_option_is_a_usage_error(capsys, argv):
     code, err = _usage_error(capsys, *argv)
-    assert code == 3 and err.startswith("usage:")
+    assert code == 3 and err.startswith(f"usage: expoly {argv[0]} ")
 
 
 @pytest.mark.parametrize("command", ["eval", "khovanskii"])
@@ -489,7 +489,7 @@ def test_model_and_tolerance_are_not_options(capsys, command, option):
     no zero tolerance to set."""
     code, err = _usage_error(capsys, command, "E(X1)-1", "--at", "0",
                              *option)
-    assert code == 3 and err.startswith("usage:")
+    assert code == 3 and err.startswith(f"usage: expoly {command} ")
     assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
@@ -556,9 +556,9 @@ GroebnerBasis.cofactors = exact
 def tampered(hs, g, budget=None):
     cert = one_certificate(hs, g, budget)
     t1 = cert.t[0]
-    cert.t = (t1._replace(coeffs={k: 2 * c for k, c in t1.coeffs.items()}),
-              *cert.t[1:])
-    return cert
+    return cert._replace(
+        t=(t1._replace(coeffs={k: 2 * c for k, c in t1.coeffs.items()}),
+           *cert.t[1:]))
 
 
 rabin.one_certificate = tampered

@@ -42,6 +42,16 @@ class TestDagger:
         report = dagger_check(IdealHandle([X - 1]), 1)
         assert report.holds and report.skipped == [X - 1]
 
+    def test_failure_keeps_the_generators_before_the_witness(self):
+        x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
+        report = dagger_check(
+            IdealHandle([x1, x2, x1.exp() - 1, x2.exp() - 2]), 1)
+        assert not report.holds and report.witness == x2
+        assert report.checked == [x1] and report.skipped == []
+        report = dagger_check(IdealHandle([x1 - 1, x2, x2.exp() - 2]), 1)
+        assert not report.holds and report.witness == x2
+        assert report.checked == [] and report.skipped == [x1 - 1]
+
 
 class TestSplitTilde:
     """The tracked slice of a level ideal, built seed by seed."""
