@@ -5,13 +5,16 @@ an `--order` too large for an index, terms nested deeper than the
 recursion limit; a tower of any height answers), 2 step budget exceeded
 (`--budget` counts every reduction step of the command and every tower
 level `extend` builds), 3 I/O or syntax error (a usage error such as a
-`--vars` above 100,000, or a file that is not UTF-8, included; an error in
-an ideal file names its line of the file), 4 internal error (a failed
-consistency check such as a certificate that does not re-expand).
+`--vars` above 100,000 or a `derive` with both or neither of `--var` and
+`--action`, or a file that is not UTF-8, included; an error in an ideal
+file names its line of the file), 4 internal error (a failed consistency
+check such as a certificate that does not re-expand).
 
 Each subcommand returns its `--json` document and its text lines; `main`
 alone prints one of them, or maps an error to its exit code.  `--json`
-switches every subcommand but `demo` to machine-readable output.
+switches every subcommand but `demo` to machine-readable output.  Each
+text is parsed once, by `textio`; argparse enforces the option rules, and
+`eval_epoly` checks a point's coordinate count.
 """
 
 from __future__ import annotations
@@ -26,23 +29,16 @@ from fractions import Fraction
 
 from .ediff import DerivationSpec, apply_derivation, jacobian, partial_derivative
 from .epoly import EPoly, ord_reduce
-from .errors import (BudgetExceededError, ExpolyError, InternalError,
-                     ParseError, PreconditionError, VariableCountError)
+from .errors import (DEFAULT_BUDGET, BudgetExceededError, ExpolyError,
+                     InternalError, ParseError, VariableCountError)
 from .ideals import IdealHandle
 from .models import (SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .rabin import nullstellensatz_pipeline
 from .scalars import parse_scalar
-from .textio import max_var_index, parse_epoly, parse_ideal_file
+from .textio import parse_epoly, parse_ideal_file
 from .tower import (TowerIdeal, augmentation, augmentation_mod, dagger_check,
                     saturate_level_one)
-
-
-def _parse_exprs(texts, nvars):
-    if nvars is None:
-        nvars = max((max_var_index(t) for t in texts), default=1)
-        nvars = max(nvars, 1)
-    return [parse_epoly(t, nvars) for t in texts], nvars
 
 
 def _load_ideal(args):
@@ -51,16 +47,11 @@ def _load_ideal(args):
     return IdealHandle(gens, nvars=nvars, budget_limit=args.budget)
 
 
-def _point(args, nvars):
-    groups = [g for g in args.at.split(";") if g.strip()]
-    point = SeriesPoint(
-        [TruncatedSeries([parse_scalar(c) for c in g.split(",")], args.order)
-         for g in groups],
-        order=args.order)
-    if len(point.values) != nvars:
-        raise VariableCountError(
-            f"point has {len(point.values)} coordinates, need {nvars}")
-    return point
+def _point(args):
+    """The `--at` point; `eval_epoly` checks its coordinate count."""
+    return SeriesPoint([[parse_scalar(c) for c in g.split(",")]
+                        for g in args.at.split(";") if g.strip()],
+                       order=args.order)
 
 
 def _true_false(flag) -> str:
@@ -68,15 +59,15 @@ def _true_false(flag) -> str:
 
 
 def cmd_ord(args):
-    [p], _ = _parse_exprs([args.expr], args.vars)
+    p = parse_epoly(args.expr, args.vars)
     measure = p.complexity()
     return ({"ord": str(measure), "terms": [list(t) for t in measure.terms],
              "height": p.height(), "rank": p.rank()}, [str(measure)])
 
 
 def cmd_eval(args):
-    [p], nvars = _parse_exprs([args.expr], args.vars)
-    point = _point(args, nvars)
+    p = parse_epoly(args.expr, args.vars)
+    point = _point(args)
     value = eval_epoly(p, point)
     return ({"model": "series", "order": point.order,
              "coefficients": [str(c) for c in value.coeffs]},
@@ -84,37 +75,32 @@ def cmd_eval(args):
 
 
 def cmd_derive(args):
-    [p], nvars = _parse_exprs([args.expr], args.vars)
+    p = parse_epoly(args.expr, args.vars)
     if args.action:
-        actions, _ = _parse_exprs(args.action, nvars)
+        actions = [parse_epoly(t, p.nvars) for t in args.action]
         result = apply_derivation(DerivationSpec(actions), p)
-    elif args.var is not None:
-        if args.var > nvars:
-            raise VariableCountError(
-                f"variable X{args.var} out of range for {nvars} variables")
-        result = partial_derivative(p, args.var - 1)
+    elif args.var > p.nvars:
+        raise VariableCountError(
+            f"variable X{args.var} out of range for {p.nvars} variables")
     else:
-        raise PreconditionError("derive needs --var or --action")
+        result = partial_derivative(p, args.var - 1)
     return {"result": str(result)}, [str(result)]
 
 
 def cmd_jacobian(args):
-    fs, _ = _parse_exprs(args.exprs, len(args.exprs))
-    result = jacobian(fs)
+    result = jacobian([parse_epoly(t, len(args.exprs)) for t in args.exprs])
     return {"result": str(result)}, [str(result)]
 
 
 def cmd_khovanskii(args):
-    nvars = len(args.exprs)
-    fs, _ = _parse_exprs(args.exprs, nvars)
-    verdict = khovanskii_check(fs, _point(args, nvars))
+    fs = [parse_epoly(t, len(args.exprs)) for t in args.exprs]
+    verdict = khovanskii_check(fs, _point(args))
     return {"khovanskii": verdict}, [_true_false(verdict)]
 
 
 def cmd_member(args):
     ideal = _load_ideal(args)
-    [p], _ = _parse_exprs([args.expr], ideal.nvars)
-    result = ideal.membership(p)
+    result = ideal.membership(parse_epoly(args.expr, ideal.nvars))
     cofactors = (None if result.cofactors is None
                  else [str(c) for c in result.cofactors])
     return ({"member": result.member, "cofactors": cofactors,
@@ -132,8 +118,7 @@ def cmd_intersect(args):
 
 def cmd_aug(args):
     ideal = _load_ideal(args) if args.ideal else None
-    [u], _ = _parse_exprs([args.expr],
-                          args.vars if ideal is None else ideal.nvars)
+    u = parse_epoly(args.expr, args.vars if ideal is None else ideal.nvars)
     if ideal is None:
         image = augmentation(u, args.layer)
         return {"image": str(image)}, [str(image)]
@@ -171,7 +156,7 @@ def cmd_extend(args):
         lines.append(f"  layer {layer} tracked: "
                      f"{', '.join(seeds) or '(none)'}")
     if args.query:
-        [q], _ = _parse_exprs([args.query], ideal.nvars)
+        q = parse_epoly(args.query, ideal.nvars)
         level = args.level if args.level is not None else tower.top_level
         doc.update(query=str(q), level=level,
                    member=tower.membership(q, level))
@@ -202,7 +187,7 @@ def cmd_saturate(args):
 
 def cmd_rabinowitsch(args):
     ideal = _load_ideal(args)
-    [g], _ = _parse_exprs([args.g], ideal.nvars)
+    g = parse_epoly(args.g, ideal.nvars)
     report = nullstellensatz_pipeline(ideal.gens, g, budget_limit=args.budget)
     return report.to_dict(), [report.describe()]
 
@@ -360,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
         if budget:
             p.add_argument("--budget", type=_int_at_least(0, "step budget"),
-                           default=1_000_000,
+                           default=DEFAULT_BUDGET,
                            help="reduction steps and tower levels the "
                                 "whole command may spend (default 10^6)")
         if vars_flag:
@@ -391,11 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="partial derivative or derivation")
     p.add_argument("expr")
-    p.add_argument("--var", type=_int_at_least(1, "variable index"),
-                   default=None,
-                   help="1-based variable index for a partial derivative")
-    p.add_argument("--action", action="append", default=None,
-                   help="D(Xj) for j = 1.. (repeat; applies the derivation)")
+    rule = p.add_mutually_exclusive_group(required=True)
+    rule.add_argument("--var", type=_int_at_least(1, "variable index"),
+                      help="1-based variable index for a partial derivative")
+    rule.add_argument("--action", action="append",
+                      help="D(Xj) for j = 1.. (repeat; applies the "
+                           "derivation)")
     common(p)
     p.set_defaults(func=cmd_derive)
 

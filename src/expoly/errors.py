@@ -39,11 +39,15 @@ class ParseError(ExpolyError):
         self.col = col
 
 
+# The step budget of a command, a handle or a pipeline unless one is given.
+DEFAULT_BUDGET = 1_000_000
+
+
 class Budget:
     """Countdown of steps (reduction steps and tower levels built);
     spend() raises once the limit is hit."""
 
-    def __init__(self, limit=1_000_000):
+    def __init__(self, limit=DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
 

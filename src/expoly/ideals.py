@@ -38,7 +38,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .epoly import EPoly, _term_key
-from .errors import Budget, InternalError, VariableCountError
+from .errors import (DEFAULT_BUDGET, Budget, InternalError,
+                     VariableCountError)
 from .linalg import (RationalEchelon, lattice_basis, solve_upper_integer,
                      vec_add)
 from .polyring import MonomialOrder, Poly, PolyRing, buchberger
@@ -267,7 +268,7 @@ class IdealHandle:
     """
 
     def __init__(self, gens, nvars: int | None = None,
-                 budget_limit: int = 1_000_000):
+                 budget_limit: int = DEFAULT_BUDGET):
         gens = tuple(gens)
         if nvars is None:
             if not gens:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .epoly import EPoly
-from .errors import Budget, InternalError
+from .errors import DEFAULT_BUDGET, Budget, InternalError
 from .ideals import IdealHandle, present
 from .polyring import Poly, PolyRing, buchberger
 from .sparse import accumulate
@@ -165,7 +165,7 @@ class PipelineReport(NamedTuple):
 
 
 def nullstellensatz_pipeline(hs, g: EPoly,
-                             budget_limit: int = 1_000_000
+                             budget_limit: int = DEFAULT_BUDGET
                              ) -> PipelineReport:
     """Exp-compatibility check, certificate search, and power extraction."""
     hs = tuple(hs)

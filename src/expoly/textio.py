@@ -192,17 +192,13 @@ class _Parser:
         return gaussian(re_part, im_part if op.kind == "+" else -im_part)
 
 
-def max_var_index(text: str) -> int:
-    return max((t.value for t in _tokenize(text) if t.kind == "var"),
-               default=0)
+def _var_count(token_lists) -> int:
+    """The largest variable index the token lists use, at least 1."""
+    return max([1] + [t.value for tokens in token_lists for t in tokens
+                      if t.kind == "var"])
 
 
-def parse_epoly(text: str, nvars: int | None = None) -> EPoly:
-    """Parse the term language; nvars defaults to the largest index used."""
-    tokens = _tokenize(text)
-    if nvars is None:
-        nvars = max((t.value for t in tokens if t.kind == "var"), default=0)
-        nvars = max(nvars, 1)
+def _parse_tokens(tokens, nvars: int) -> EPoly:
     parser = _Parser(tokens, nvars)
     value = parser.parse_epoly()
     tail = parser.take()
@@ -212,21 +208,29 @@ def parse_epoly(text: str, nvars: int | None = None) -> EPoly:
     return value
 
 
+def parse_epoly(text: str, nvars: int | None = None) -> EPoly:
+    """Parse the term language; nvars defaults to the largest index used."""
+    tokens = _tokenize(text)
+    return _parse_tokens(tokens, _var_count([tokens]) if nvars is None
+                         else nvars)
+
+
 def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
     """One exponential polynomial per line; blanks and '#' comments skipped.
-    A syntax error names its line of the file."""
+    Each line is tokenized once, and a syntax error names its line of the
+    file."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [(number, ln) for number, ln
                  in enumerate(handle.read().splitlines(), 1)
                  if ln.strip() and not ln.strip().startswith("#")]
-    out = []
+    scanned, out = [], []
     try:
-        if nvars is None:
-            nvars = 1
-            for number, ln in lines:
-                nvars = max(nvars, max_var_index(ln))
         for number, ln in lines:
-            out.append(parse_epoly(ln, nvars))
+            scanned.append((number, _tokenize(ln)))
+        if nvars is None:
+            nvars = _var_count(tokens for _, tokens in scanned)
+        for number, tokens in scanned:
+            out.append(_parse_tokens(tokens, nvars))
     except ParseError as exc:
         # `number` is the line being read when the error was raised.
         raise ParseError(exc.message, number, exc.col) from None

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from expoly import PartialityError, parse_epoly
+from expoly import PartialityError, parse_epoly, textio
 from expoly.cli import main
 
 
@@ -304,6 +304,13 @@ def test_ideal_file_error_names_the_file_line(capsys, ideal_file):
     code, out, err = run(capsys, "member", "--ideal", path, "X1")
     assert code == 3 and out == ""
     assert err == "error: expected digits after 'X' (line 3, column 1)\n"
+    # An error on the first line is reported there, with the count
+    # inferred from every line or given.
+    path = ideal_file("L.txt", "X1+(", "X1")
+    for extra in ([], ["--vars", "1"]):
+        code, out, err = run(capsys, "member", "--ideal", path, "X1", *extra)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "(line 1, column 5)" in err
 
 
 def test_parse_term_products():
@@ -474,10 +481,39 @@ def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):
     ["demo", "--json"],
     ["demo", "--vars", "1"],
     ["demo", "--seed", "1"],
+    pytest.param(["derive", "X1"], id="derive no rule"),
+    pytest.param(["derive", "X1", "--var", "1", "--action", "1"],
+                 id="derive both rules"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_unread_option_is_a_usage_error(capsys, argv):
+    """An option the subcommand does not take, or a `derive` with both or
+    neither of `--var` and `--action`, is a usage error."""
     code, err = _usage_error(capsys, *argv)
     assert code == 3 and err.startswith(f"usage: expoly {argv[0]} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "X1+X2", "--at", "0,1"],
+    ["khovanskii", "X1", "X2", "--at", "0"],
+], ids=lambda argv: argv[0])
+def test_point_of_wrong_arity_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: point has 1 coordinates, value has 2 variables\n"
+
+
+def test_each_text_is_tokenized_once(capsys, ideal_file, monkeypatch):
+    """The ideal file's four lines and the query are scanned once each."""
+    scanned = []
+    tokenize = textio._tokenize
+    monkeypatch.setattr(textio, "_tokenize",
+                        lambda text: scanned.append(text) or tokenize(text))
+    path = ideal_file("I.txt", *REFERENCE_IDEAL)
+    assert run(capsys, "member", "X1*X2*X3-E(X1+X2)", "--ideal", path)[0] == 0
+    assert len(scanned) == 5
+    scanned.clear()
+    assert run(capsys, "ord", "X1+E(X1)")[0] == 0
+    assert scanned == ["X1+E(X1)"]
 
 
 @pytest.mark.parametrize("command", ["eval", "khovanskii"])
