@@ -56,7 +56,7 @@ def partial_derivative(p: EPoly, j: int) -> EPoly:
     """d/dX_{j+1}: the derivation with D(X_{j+1}) = 1 and D(X_k) = 0 else."""
     if not 0 <= j < p.nvars:
         raise VariableCountError(
-            f"variable index {j} out of range for {p.nvars} variables")
+            f"variable X{j + 1} out of range for {p.nvars} variables")
     unit = DerivationSpec([EPoly.const(p.nvars, 1 if k == j else 0)
                            for k in range(p.nvars)])
     return apply_derivation(unit, p)

@@ -23,16 +23,17 @@ exponent otherwise; the height of a value is the maximal layer of its terms.
 These drive the decomposition into per-layer components and the ordinal
 complexity measure.
 
-Values are built by the folding constructor `EPoly(nvars, terms)`: it adds
-up repeated keys, drops zero sums and sorts.  `EPoly.combination` is the one
-way to build a sum of products a_1*b_1 + ... + a_m*b_m: every product term
-goes to a single constructor call, which folds and sorts once, and `a * b`
-uses the same product rule, a scalar factor included.  Operations whose
-result is canonical by construction skip both through the private
-`EPoly._canonical`: `zero`, negation, `exp` (a single term), and filters of
-a value's sorted terms (`layer_component`, `layer_decompose`, and in
-`tower.rewrite` the layer-other-than-n part of an exponent and the t^0
-group of a value).
+Values are built by the folding constructor `EPoly(nvars, terms)`, whose
+monomials must be tuples (keys are hashed as given): it adds up repeated
+keys, drops zero sums and sorts only when two or more terms remain.
+`EPoly.combination` is the one way to build a sum of products
+a_1*b_1 + ... + a_m*b_m: every product term goes to a single constructor
+call, which folds and sorts once, and `a * b` uses the same product rule, a
+scalar factor included.  Operations whose result is canonical by
+construction skip both through the private `EPoly._canonical`: `zero`,
+negation, `exp` (a single term), and filters of a value's sorted terms
+(`layer_component`, `layer_decompose`, and in `tower.rewrite` the
+layer-other-than-n part of an exponent and the t^0 group of a value).
 """
 
 from __future__ import annotations
@@ -65,16 +66,14 @@ class EPoly:
 
     def __init__(self, nvars: int, terms):
         """Build a canonical value from a {(mono, exponent): coeff} mapping
-        or from ((mono, exponent), coeff) pairs; repeated keys add up, and
-        each sum is made a canonical scalar (`scalars.as_scalar`)."""
-        if isinstance(terms, dict):
-            terms = terms.items()
-        merged = accumulate(((tuple(mono), exponent), coeff)
-                            for (mono, exponent), coeff in terms)
+        or from ((mono, exponent), coeff) pairs, each `mono` a tuple;
+        repeated keys add up, and each sum is made a canonical scalar
+        (`scalars.as_scalar`)."""
+        terms = [(k, as_scalar(c)) for k, c in accumulate(terms).items()]
+        if len(terms) > 1:
+            terms.sort(key=lambda kv: _term_key(kv[0]))
         self.nvars = nvars
-        self._terms = tuple(sorted(((k, as_scalar(c))
-                                    for k, c in merged.items()),
-                                   key=lambda kv: _term_key(kv[0])))
+        self._terms = tuple(terms)
         self._hash = None
         self._height = None
         self._key = None
@@ -114,7 +113,7 @@ class EPoly:
     def var(cls, nvars: int, j: int) -> "EPoly":
         if not 0 <= j < nvars:
             raise VariableCountError(
-                f"variable index {j} out of range for {nvars} variables")
+                f"variable X{j + 1} out of range for {nvars} variables")
         mono = tuple(1 if k == j else 0 for k in range(nvars))
         return cls(nvars, {(mono, None): 1})
 

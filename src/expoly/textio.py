@@ -15,222 +15,216 @@ arguments).  Each term is built in one pass as one (key, coefficient) pair:
 by the group law and scalars multiply into the coefficient.  A whole
 expression is one EPoly built from the pairs of its terms.
 
+`_tokenize` scans a text once with one compiled regular expression and
+holds its tokens as three parallel lists: kinds ("num", "var", an operator
+character, and a closing "end"), values (the int of a numeral or of a
+variable index, the operator, None) and character offsets.  The parser
+reads them by index.  A ParseError's line and column (from 1; only "\n"
+breaks a line) are computed from the token's offset when it is raised.
+
 Printing is EPoly.__str__ (canonical descending term order); parse composed
 with print is the identity on canonical values.
 """
 
 from __future__ import annotations
 
+import re
+
 from .epoly import EPoly, _exp_add, _exp_argument
 from .errors import ParseError
 from .scalars import IMAG_UNIT, gaussian, scalar_div
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.value!r})"
+# One token after optional whitespace: a numeral, a variable (X and its
+# digits), an operator, or any other character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(X\d*)|([-+*/^()Ei])|(\S))")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("num", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "X":
-            j = i + 1
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected digits after 'X'", line, start_col)
-            tokens.append(_Token("var", int(text[i + 1:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "E+-*/^()i":
-            tokens.append(_Token(ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", None, line, col))
-    return tokens
+def _error(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError at offset `pos` of `text`, at its line and column."""
+    return ParseError(message, text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos))
+
+
+def _tokenize(text: str) -> tuple[list, list, list]:
+    """Parallel (kinds, values, offsets) lists, ended by an "end" token."""
+    kinds, values, offsets = [], [], []
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        token = match[group]
+        if group == 1:
+            kinds.append("num")
+            values.append(int(token))
+        elif group == 3:
+            kinds.append(token)
+            values.append(token)
+        elif group == 2 and len(token) > 1:
+            kinds.append("var")
+            values.append(int(token[1:]))
+        else:
+            raise _error(text, match.start(group),
+                         "expected digits after 'X'" if group == 2
+                         else f"unexpected character {token!r}")
+        offsets.append(match.start(group))
+    kinds.append("end")
+    values.append(None)
+    offsets.append(len(text))
+    return kinds, values, offsets
 
 
 class _Parser:
-    def __init__(self, tokens, nvars):
-        self.tokens = tokens
+    """Recursive descent over the token lists of one text; `pos` indexes
+    the next token."""
+
+    def __init__(self, text, tokens, nvars):
+        self.text = text
+        self.kinds, self.values, self.offsets = tokens
         self.pos = 0
         self.nvars = nvars
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, message, pos=None):
+        pos = self.pos if pos is None else pos
+        return _error(self.text, self.offsets[pos], message)
 
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind:
-            found = "end of input" if tok.kind == "end" else repr(tok.value)
-            raise ParseError(f"expected {kind!r}, found {found}",
-                             tok.line, tok.col)
-        self.pos += 1
-        return tok
+    def expect(self, kind):
+        """Consume the next token, which must be of `kind`; its value."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            found = ("end of input" if self.kinds[pos] == "end"
+                     else repr(self.values[pos]))
+            raise self.error(f"expected {kind!r}, found {found}")
+        self.pos = pos + 1
+        return self.values[pos]
 
     def parse_epoly(self) -> EPoly:
+        kinds = self.kinds
+        pairs = []
         sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.take().kind == "-" else 1
-        pairs = [self.parse_term(sign)]
-        while self.peek().kind in "+-":
-            sign = -1 if self.take().kind == "-" else 1
+        if kinds[self.pos] in "+-":
+            sign = -1 if kinds[self.pos] == "-" else 1
+            self.pos += 1
+        while True:
             pairs.append(self.parse_term(sign))
-        return EPoly(self.nvars, pairs)
+            kind = kinds[self.pos]
+            if kind not in "+-":
+                return EPoly(self.nvars, pairs)
+            sign = -1 if kind == "-" else 1
+            self.pos += 1
 
     def parse_term(self, coeff):
         """One term as ((mono, exponent), coeff), its factors multiplied in."""
-        mono = [0] * self.nvars
+        kinds, values, nvars = self.kinds, self.values, self.nvars
+        mono = [0] * nvars
         exponent = None
         while True:
-            tok = self.peek()
-            if tok.kind == "var":
-                self.take()
-                if tok.value < 1 or tok.value > self.nvars:
-                    raise ParseError(
-                        f"variable X{tok.value} out of range for "
-                        f"{self.nvars} variables", tok.line, tok.col)
-                power = 1
-                if self.peek().kind == "^":
-                    self.take()
-                    power = self.take("num").value
-                mono[tok.value - 1] += power
-            elif tok.kind == "E":
-                self.take()
-                self.take("(")
+            pos = self.pos
+            kind = kinds[pos]
+            if kind == "var":
+                index = values[pos]
+                if not 0 < index <= nvars:
+                    raise self.error(f"variable X{index} out of range for "
+                                     f"{nvars} variables")
+                if kinds[pos + 1] == "^":
+                    self.pos = pos + 2
+                    mono[index - 1] += self.expect("num")
+                else:
+                    self.pos = pos + 1
+                    mono[index - 1] += 1
+            elif kind == "E":
+                self.pos = pos + 1
+                self.expect("(")
                 arg = self.parse_epoly()
-                self.take(")")
+                self.expect(")")
                 exponent = _exp_add(exponent, _exp_argument(arg))
+            elif kind == "num":
+                coeff = coeff * self.parse_rational(signed=False)
+            elif kind == "i":
+                self.pos = pos + 1
+                coeff = coeff * IMAG_UNIT
+            elif kind == "(":
+                coeff = coeff * self.parse_gaussian()
+            elif kind == "end":
+                raise self.error("unexpected end of input")
             else:
-                coeff = coeff * self.parse_scalar_factor()
-            if self.peek().kind != "*":
+                raise self.error(f"unexpected token {values[pos]!r}")
+            if kinds[self.pos] != "*":
                 return (tuple(mono), exponent), coeff
-            self.take()
-
-    def parse_scalar_factor(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            return self.parse_rational(signed=False)
-        if tok.kind == "i":
-            self.take()
-            return IMAG_UNIT
-        if tok.kind == "(":
-            return self.parse_gaussian()
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.line, tok.col)
-        raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
+            self.pos += 1
 
     def parse_rational(self, signed=True):
         """An int for an integral literal, else a Fraction."""
         sign = 1
-        if signed and self.peek().kind == "-":
-            self.take()
+        if signed and self.kinds[self.pos] == "-":
+            self.pos += 1
             sign = -1
-        num = self.take("num").value
-        if self.peek().kind == "/":
-            self.take()
-            den = self.take("num")
-            if den.value == 0:
-                raise ParseError("zero denominator", den.line, den.col)
-            return scalar_div(sign * num, den.value)
-        return sign * num
+        num = sign * self.expect("num")
+        if self.kinds[self.pos] != "/":
+            return num
+        self.pos += 1
+        den = self.expect("num")
+        if den == 0:
+            raise self.error("zero denominator", self.pos - 1)
+        return scalar_div(num, den)
 
     def parse_gaussian(self):
-        self.take("(")
-        if self.peek().kind == "(":
+        self.expect("(")
+        if self.kinds[self.pos] == "(":
             # Outer wrapping parens: "((a)+(b)i)".
             value = self.parse_gaussian()
-            self.take(")")
+            self.expect(")")
             return value
         re_part = self.parse_rational()
-        self.take(")")
-        op = self.peek()
-        if op.kind not in "+-":
-            raise ParseError("expected '+' or '-' in Gaussian literal",
-                             op.line, op.col)
-        self.take()
-        self.take("(")
+        self.expect(")")
+        op = self.kinds[self.pos]
+        if op not in "+-":
+            raise self.error("expected '+' or '-' in Gaussian literal")
+        self.pos += 1
+        self.expect("(")
         im_part = self.parse_rational()
-        self.take(")")
-        tok = self.take()
-        if tok.kind != "i":
-            raise ParseError("expected 'i' closing a Gaussian literal",
-                             tok.line, tok.col)
-        return gaussian(re_part, im_part if op.kind == "+" else -im_part)
+        self.expect(")")
+        if self.kinds[self.pos] != "i":
+            raise self.error("expected 'i' closing a Gaussian literal")
+        self.pos += 1
+        return gaussian(re_part, im_part if op == "+" else -im_part)
 
 
 def _var_count(token_lists) -> int:
     """The largest variable index the token lists use, at least 1."""
-    return max([1] + [t.value for tokens in token_lists for t in tokens
-                      if t.kind == "var"])
+    return max([1] + [value for kinds, values, _ in token_lists
+                      for kind, value in zip(kinds, values) if kind == "var"])
 
 
-def _parse_tokens(tokens, nvars: int) -> EPoly:
-    parser = _Parser(tokens, nvars)
+def _parse_tokens(text, tokens, nvars: int) -> EPoly:
+    parser = _Parser(text, tokens, nvars)
     value = parser.parse_epoly()
-    tail = parser.take()
-    if tail.kind != "end":
-        raise ParseError(f"trailing input starting at {tail.value!r}",
-                         tail.line, tail.col)
+    if parser.kinds[parser.pos] != "end":
+        raise parser.error("trailing input starting at "
+                           f"{parser.values[parser.pos]!r}")
     return value
 
 
 def parse_epoly(text: str, nvars: int | None = None) -> EPoly:
     """Parse the term language; nvars defaults to the largest index used."""
     tokens = _tokenize(text)
-    return _parse_tokens(tokens, _var_count([tokens]) if nvars is None
+    return _parse_tokens(text, tokens, _var_count([tokens]) if nvars is None
                          else nvars)
 
 
 def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
     """One exponential polynomial per line; blanks and '#' comments skipped.
     Each line is tokenized once, and a syntax error names its line of the
-    file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    file.  A byte-order mark that starts the file is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         lines = [(number, ln) for number, ln
                  in enumerate(handle.read().splitlines(), 1)
                  if ln.strip() and not ln.strip().startswith("#")]
     scanned, out = [], []
     try:
         for number, ln in lines:
-            scanned.append((number, _tokenize(ln)))
+            scanned.append((number, ln, _tokenize(ln)))
         if nvars is None:
-            nvars = _var_count(tokens for _, tokens in scanned)
-        for number, tokens in scanned:
-            out.append(_parse_tokens(tokens, nvars))
+            nvars = _var_count(tokens for _, _, tokens in scanned)
+        for number, ln, tokens in scanned:
+            out.append(_parse_tokens(ln, tokens, nvars))
     except ParseError as exc:
         # `number` is the line being read when the error was raised.
         raise ParseError(exc.message, number, exc.col) from None

@@ -50,11 +50,13 @@ def test_member_false_exit_zero(capsys, ideal_file):
 
 
 def test_member_true_with_cofactors(capsys, ideal_file):
-    path = ideal_file("I.txt", "X1")
-    code, out, _ = run(capsys, "member", "--ideal", path, "X1^2 + X1")
-    assert code == 0
-    assert out.splitlines()[0] == "true"
-    assert "cofactor of X1: X1 + 1" in out
+    """A leading byte-order mark, as some editors write it, is skipped."""
+    for bom in ("", "\ufeff"):
+        path = ideal_file("I.txt", bom + "X1")
+        code, out, _ = run(capsys, "member", "--ideal", path, "X1^2 + X1")
+        assert code == 0
+        assert out.splitlines()[0] == "true"
+        assert "cofactor of X1: X1 + 1" in out
 
 
 def test_derive_and_jacobian(capsys):
@@ -311,6 +313,12 @@ def test_ideal_file_error_names_the_file_line(capsys, ideal_file):
         code, out, err = run(capsys, "member", "--ideal", path, "X1", *extra)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "(line 1, column 5)" in err
+    # Only a mark that starts the file is skipped.
+    path = ideal_file("M.txt", "\ufeffX1", "\ufeffX1")
+    code, out, err = run(capsys, "member", "--ideal", path, "X1")
+    assert code == 3 and out == ""
+    assert err == ("error: unexpected character '\\ufeff' "
+                   "(line 2, column 1)\n")
 
 
 def test_parse_term_products():

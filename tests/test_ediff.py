@@ -13,8 +13,12 @@ def test_partial_derivative_fixtures():
     assert partial_derivative(x1 * x1, 0) == 2 * x1
     assert partial_derivative((x1 * x1).exp(), 0) == 2 * x1 * (x1 * x1).exp()
     assert partial_derivative(x1.exp(), 1).is_zero()
-    with pytest.raises(VariableCountError):
+    # Both name the variable 1-based, as the term language and `--var` do.
+    message = "^variable X3 out of range for 2 variables$"
+    with pytest.raises(VariableCountError, match=message):
         partial_derivative(x1, 2)
+    with pytest.raises(VariableCountError, match=message):
+        EPoly.var(2, 2)
 
 
 def test_apply_derivation_fixtures():

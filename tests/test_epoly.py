@@ -1,11 +1,15 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from expoly import (EPoly, OrdinalCNF, ParseError, PartialityError,
                     PreconditionError, VariableCountError, ord_reduce,
                     parse_epoly)
+
+from expoly.epoly import _term_key
+from expoly.scalars import as_scalar, gaussian
 
 from helpers import random_epoly, random_nonzero_zero_const, random_zero_const
 
@@ -240,3 +244,38 @@ def test_from_dict_rejects_malformed_terms(terms, expected):
     else:
         with pytest.raises(expected):
             EPoly.from_dict(doc)
+
+
+def _fold_then_sort(pairs):
+    """Reference constructor: add up equal keys, drop zero sums, make each
+    coefficient canonical and sort every term by its key."""
+    acc = {}
+    for key, coeff in pairs:
+        acc[key] = acc.get(key, 0) + coeff
+    return tuple(sorted(((k, as_scalar(c)) for k, c in acc.items() if c),
+                        key=lambda kv: _term_key(kv[0])))
+
+
+_X1, _X2, _ONE = ((1, 0), None), ((0, 1), None), ((0, 0), None)
+_NESTED = ((0, 1), P("X1*E(X2) - 2*X2", 2))   # X2*E(X1*E(X2) - 2*X2)
+
+
+@pytest.mark.parametrize("pairs", [
+    [],
+    [(_X1, 3)],
+    [(_X1, 0)],
+    [(_ONE, Fraction(4, 2))],
+    [(_X1, 1), (_X2, 2), (_X1, -1)],
+    [(_X1, Fraction(1, 2)), (_X1, Fraction(-1, 2))],
+    [(_NESTED, 1)],
+    [(_NESTED, 1), (_X1, gaussian(1, 2)), (_ONE, -1), (_NESTED, 2),
+     (((2, 0), P("X1", 2)), Fraction(3, 4)), (_X2, Fraction(6, 3)),
+     (((0, 0), P("-X1*E(X2)", 2)), 5), (_ONE, 1)],
+], ids=["none", "one", "one-zero", "one-fraction-4/2", "cancel-to-one",
+        "cancel-to-zero", "one-nested", "many"])
+def test_constructor_matches_fold_then_sort(pairs):
+    built = EPoly(2, pairs)
+    expected = _fold_then_sort(pairs)
+    assert built.terms == expected
+    assert [type(c) for _, c in built.terms] == [type(c) for _, c in expected]
+    assert EPoly(2, dict(_fold_then_sort(pairs))) == built

@@ -2,9 +2,12 @@
 
 The parser below is the earlier arithmetic one, kept verbatim as the
 reference: it builds every factor as an EPoly and multiplies and adds them.
-`parse_epoly` builds each term in one pass, and must give an equal value on
-well-formed text and the same exception (type, message, line and column) on
-malformed text.
+Its scanner is the earlier character loop, also kept verbatim, which makes
+one `_Token` per token and tracks line and column as it goes.  `parse_epoly`
+scans with one regular expression into flat lists, builds each term in one
+pass and computes a line and column only when it raises.  It must give an
+equal value on well-formed text and the same exception (type, message, line
+and column) on malformed text, with the variable count given or inferred.
 """
 
 from fractions import Fraction
@@ -17,13 +20,69 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from expoly import EPoly, parse_epoly  # noqa: E402
 from expoly.errors import ParseError  # noqa: E402
 from expoly.scalars import IMAG_UNIT, gaussian  # noqa: E402
-from expoly.textio import _tokenize  # noqa: E402
 
 NVARS = 2
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 # -- reference parser -----------------------------------------------------
+
+class _Token:
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind, value, line, col):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
+
+    def __repr__(self):
+        return f"_Token({self.kind}, {self.value!r})"
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        start_col = col
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(_Token("num", int(text[i:j]), line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch == "X":
+            j = i + 1
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            if j == i + 1:
+                raise ParseError("expected digits after 'X'", line, start_col)
+            tokens.append(_Token("var", int(text[i + 1:j]), line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in "E+-*/^()i":
+            tokens.append(_Token(ch, ch, line, start_col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(_Token("end", None, line, col))
+    return tokens
+
 
 class _Parser:
     def __init__(self, tokens, nvars):
@@ -129,8 +188,11 @@ class _Parser:
         return gaussian(re_part, im_part if op.kind == "+" else -im_part)
 
 
-def reference_parse(text: str, nvars: int) -> EPoly:
-    parser = _Parser(_tokenize(text), nvars)
+def reference_parse(text: str, nvars: int | None) -> EPoly:
+    tokens = _tokenize(text)
+    if nvars is None:
+        nvars = max([1] + [t.value for t in tokens if t.kind == "var"])
+    parser = _Parser(tokens, nvars)
     value = parser.parse_epoly()
     tail = parser.take()
     if tail.kind != "end":
@@ -139,10 +201,10 @@ def reference_parse(text: str, nvars: int) -> EPoly:
     return value
 
 
-def outcome(parse, text):
+def outcome(parse, text, nvars=NVARS):
     """The parsed terms, or the raised exception as comparable data."""
     try:
-        return parse(text, NVARS).terms
+        return parse(text, nvars).terms
     except Exception as exc:  # every exception type is compared
         return (type(exc), str(exc), getattr(exc, "line", None),
                 getattr(exc, "col", None))
@@ -150,7 +212,7 @@ def outcome(parse, text):
 
 # -- strategies -----------------------------------------------------------
 
-numerals = st.integers(0, 12).map(str)
+numerals = st.one_of(st.integers(0, 12).map(str), st.just("\u0663"))
 rationals = st.one_of(numerals, st.tuples(numerals, st.integers(1, 5)).map(
     lambda t: f"{t[0]}/{t[1]}"))
 signed = st.tuples(st.sampled_from(["", "-"]), rationals).map("".join)
@@ -162,7 +224,7 @@ powers = st.one_of(st.just(""), st.integers(0, 3).map(lambda k: f"^{k}"))
 variables = st.tuples(st.integers(1, NVARS), powers).map(
     lambda t: f"X{t[0]}{t[1]}")
 atoms = st.one_of(variables, scalars)
-spaces = st.sampled_from(["", "", "", " ", "  ", "\n"])
+spaces = st.sampled_from(["", "", "", " ", "  ", "\n", "\t", " \n\t"])
 
 
 def sums(factors, lead=st.just("")):
@@ -197,7 +259,7 @@ def malformed(draw):
     replaced, or cut short."""
     text = draw(expressions)
     pos = draw(st.integers(0, len(text)))
-    junk = draw(st.sampled_from(list("+-*/^()iEX0 #.\n")))
+    junk = draw(st.sampled_from(list("+-*/^()iEX0 #.\n\t\u0663") + ["X "]))
     edit = draw(st.sampled_from(["delete", "insert", "replace", "cut"]))
     if edit == "delete":
         return text[:pos] + text[pos + 1:]
@@ -213,19 +275,24 @@ def malformed(draw):
 @PROPERTY
 @given(expressions)
 def test_parser_matches_reference(text):
-    assert outcome(parse_epoly, text) == outcome(reference_parse, text)
+    for nvars in (NVARS, None):
+        assert (outcome(parse_epoly, text, nvars)
+                == outcome(reference_parse, text, nvars))
 
 
 @PROPERTY
 @given(malformed())
 def test_parser_errors_match_reference(text):
-    assert outcome(parse_epoly, text) == outcome(reference_parse, text)
+    for nvars in (NVARS, None):
+        assert (outcome(parse_epoly, text, nvars)
+                == outcome(reference_parse, text, nvars))
 
 
 @pytest.mark.parametrize("text", [
     "", "X1 + * X2", "E(X1", "E()", "X0", "X3", "X", "X1^", "X1^-1", "1/0",
     "1/", "((1)+(2)i", "(1)*(2)i", "(1)+(2)", "(1)+(2)j", "2 3", "X1)",
     "E(1 + X1)", "E(X1)*E(2)", "i*(1)+(-1/0)i", "X1 +\n  #", "E(\nX1 +)",
+    "X1 +\n\tX \n", "\u0663*X1\n\t+ 2/0", "X\u0663", "X1\n\n\t)",
 ])
 def test_fixed_malformed_match_reference(text):
     assert outcome(parse_epoly, text) == outcome(reference_parse, text)
