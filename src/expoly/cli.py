@@ -6,9 +6,10 @@ recursion limit; a tower of any height answers), 2 step budget exceeded
 (`--budget` counts every reduction step of the command and every tower
 level `extend` builds), 3 I/O or syntax error (a usage error such as a
 `--vars` above 100,000 or a `derive` with both or neither of `--var` and
-`--action`, or a file that is not UTF-8, included; an error in an ideal
-file names its line of the file), 4 internal error (a failed consistency
-check such as a certificate that does not re-expand).
+`--action`, a file that is not UTF-8, or a numeral too long for `int()`,
+included; an error in an ideal file names its line of the file), 4
+internal error (a failed consistency check such as a certificate that
+does not re-expand).
 
 Each subcommand returns its `--json` document and its text lines; `main`
 alone prints one of them, or maps an error to its exit code.  `--json`
@@ -139,9 +140,6 @@ def cmd_extend(args):
     ideal = _load_ideal(args)
     tower = TowerIdeal(ideal)
     tower.extend(args.levels)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(tower.to_dict(), fh, indent=1)
     doc = {
         "base_layer": tower.base_layer,
         "top_level": tower.top_level,
@@ -427,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=1)
     p.add_argument("--query", default=None)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--out", default=None, help="write tower/1 JSON here")
     common(p, budget=True)
     p.set_defaults(func=cmd_extend)
 

@@ -44,7 +44,7 @@ from operator import add
 from .errors import PartialityError, PreconditionError, VariableCountError
 from .ordinals import OrdinalCNF
 from .scalars import (GaussianRational, as_scalar, format_scalar,
-                      parse_scalar, scalar_sort_key)
+                      scalar_sort_key)
 from .sparse import accumulate
 
 
@@ -283,17 +283,6 @@ class EPoly:
                 chunks.append((" + " if sign >= 0 else " - ") + body)
         return "".join(chunks)
 
-    def to_dict(self) -> dict:
-        """Structured export, schema version "epoly/1"."""
-        return {"format": "epoly/1", "nvars": self.nvars,
-                "terms": _terms_to_json(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EPoly":
-        if data.get("format") != "epoly/1":
-            raise ValueError(f"unsupported format {data.get('format')!r}")
-        return _terms_from_json(data["terms"], data["nvars"])
-
 
 def _exp_argument(p):
     """p as the exponent of E(p), None when p is zero; raises outside the
@@ -357,36 +346,6 @@ def _format_term(key, coeff):
     if mag == 1:
         return sign, "*".join(factors)
     return sign, "*".join([str(mag)] + factors)
-
-
-def _terms_to_json(p: EPoly) -> list:
-    out = []
-    for (mono, exponent), coeff in p.terms:
-        out.append({
-            "monomial": list(mono),
-            "exponent": None if exponent is None else _terms_to_json(exponent),
-            "coeff": format_scalar(coeff),
-        })
-    return out
-
-
-def _terms_from_json(items, nvars: int) -> EPoly:
-    """Inverse of `_terms_to_json`.  A wrong monomial length, a repeated key
-    or an exponent outside the domain raises; an empty exponent is t^0."""
-    acc = {}
-    for item in items:
-        mono = tuple(item["monomial"])
-        if len(mono) != nvars:
-            raise VariableCountError(
-                f"monomial {list(mono)} in a value over {nvars} variables")
-        exponent = (None if item["exponent"] is None
-                    else _exp_argument(_terms_from_json(item["exponent"],
-                                                        nvars)))
-        if (mono, exponent) in acc:
-            raise ValueError(f"repeated term key in epoly/1: {list(mono)}, "
-                             f"exponent {exponent}")
-        acc[(mono, exponent)] = parse_scalar(item["coeff"])
-    return EPoly(nvars, acc)
 
 
 def ord_reduce(p: EPoly) -> tuple[EPoly, EPoly]:

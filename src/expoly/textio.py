@@ -51,19 +51,25 @@ def _tokenize(text: str) -> tuple[list, list, list]:
     for match in _TOKEN.finditer(text):
         group = match.lastindex
         token = match[group]
-        if group == 1:
-            kinds.append("num")
-            values.append(int(token))
-        elif group == 3:
-            kinds.append(token)
-            values.append(token)
-        elif group == 2 and len(token) > 1:
-            kinds.append("var")
-            values.append(int(token[1:]))
-        else:
+        try:
+            if group == 1:
+                kinds.append("num")
+                values.append(int(token))
+            elif group == 3:
+                kinds.append(token)
+                values.append(token)
+            elif group == 2 and len(token) > 1:
+                kinds.append("var")
+                values.append(int(token[1:]))
+            else:
+                raise _error(text, match.start(group),
+                             "expected digits after 'X'" if group == 2
+                             else f"unexpected character {token!r}")
+        except ValueError:
+            # int() refuses more digits than sys.get_int_max_str_digits().
             raise _error(text, match.start(group),
-                         "expected digits after 'X'" if group == 2
-                         else f"unexpected character {token!r}")
+                         f"too many digits ({len(token.lstrip('X'))}) in "
+                         "one numeral") from None
         offsets.append(match.start(group))
     kinds.append("end")
     values.append(None)

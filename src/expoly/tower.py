@@ -304,16 +304,6 @@ class TowerIdeal:
                 disagreements.append((s, upper, lower))
         return disagreements
 
-    def to_dict(self) -> dict:
-        return {
-            "format": "tower/1",
-            "base_layer": self.base_layer,
-            "levels": self.top_level - self.base_layer,
-            "generators": [g.to_dict() for g in self.base.gens],
-            "tracked": [[s.element.to_dict() for s in dec.seeds]
-                        for dec in self.decomps],
-        }
-
 
 class SaturationOutcome(NamedTuple):
     status: str                       # "stabilized" or "unit"

@@ -94,17 +94,12 @@ def test_dagger(capsys, ideal_file):
     assert doc["holds_on_generators"] is False and doc["witness"] == "X1"
 
 
-def test_extend_and_tower_file(capsys, ideal_file, tmp_path):
+def test_extend_and_tower_file(capsys, ideal_file):
     path = ideal_file("I.txt", "X1")
-    out_path = str(tmp_path / "tower.json")
     code, out, _ = run(capsys, "extend", "--ideal", path, "--levels", "2",
-                       "--query", "E(X1) - 1", "--level", "1",
-                       "--out", out_path)
+                       "--query", "E(X1) - 1", "--level", "1")
     assert code == 0
     assert "membership of E(X1) - 1 at level 1: true" in out
-    with open(out_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["format"] == "tower/1" and doc["levels"] == 2
 
 
 def test_saturate_failure_certificate(capsys, ideal_file):
@@ -164,6 +159,25 @@ def test_parse_error_names_end_of_input(capsys, text, message):
     code, out, err = run(capsys, "ord", text)
     assert code == 3 and out == ""
     assert err == f"error: {message}\n"
+
+
+# Python caps int() of a numeral string; 0 means no cap.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no cap on int() digits")
+def test_numeral_past_the_int_digit_limit_is_a_syntax_error(capsys,
+                                                             ideal_file):
+    digits = "9" * (DIGIT_LIMIT + 1)
+    message = f"too many digits ({DIGIT_LIMIT + 1}) in one numeral"
+    for text, col in ((digits, 1), ("X1 + X" + digits, 6)):
+        code, out, err = run(capsys, "ord", text)
+        assert code == 3 and out == ""
+        assert err == f"error: {message} (line 1, column {col})\n"
+    path = ideal_file("I.txt", "X1", "E(X1) - " + digits)
+    code, out, err = run(capsys, "member", "--ideal", path, "X1")
+    assert code == 3 and out == ""
+    assert err == f"error: {message} (line 2, column 9)\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "khovanskii"])
@@ -489,6 +503,8 @@ def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):
     ["demo", "--json"],
     ["demo", "--vars", "1"],
     ["demo", "--seed", "1"],
+    pytest.param(["extend", "--ideal", "I.txt", "--out", "F"],
+                 id="extend --out"),
     pytest.param(["derive", "X1"], id="derive no rule"),
     pytest.param(["derive", "X1", "--var", "1", "--action", "1"],
                  id="derive both rules"),

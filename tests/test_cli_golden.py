@@ -1,9 +1,9 @@
 """Golden CLI outputs: every subcommand in text mode and under --json.
 
 Each case runs `cli.main` in process on fixed inputs and compares the
-sha256 of what it printed (and of the file `extend --out` wrote) with the
-recorded value.  A case must exit 0 and print nothing to stderr.  `demo`
-has its own digest in `tests/test_cli.py`.
+sha256 of what it printed with the recorded value.  A case must exit 0
+and print nothing to stderr.  `demo` has its own digest in
+`tests/test_cli.py`.
 """
 
 import hashlib
@@ -15,8 +15,8 @@ from expoly.cli import main
 REFERENCE_IDEAL = ("E(X1)-X2-1", "E(X2)-X3-1", "X1*E(X3)-X2",
                    "X1*X2*X3-E(X1+X2)")
 
-# (case id, ideal file lines or None, arguments); "IDEAL" and "OUT" stand
-# for the ideal file and the `--out` file.
+# (case id, ideal file lines or None, arguments); "IDEAL" stands for the
+# ideal file.
 CASES = [
     ("ord", None, ["ord", "X1 + 2*E(X1) - E(E(X2))"]),
     ("eval-series", None, ["eval", "E(X1)-1", "--at", "0,1", "--order", "4"]),
@@ -38,7 +38,7 @@ CASES = [
     ("dagger-witness", ("X1", "E(X1) - 2"), ["dagger", "--ideal", "IDEAL"]),
     ("extend", ("X1", "X2*X1"),
      ["extend", "--ideal", "IDEAL", "--levels", "2", "--query",
-      "E(X1) - 1", "--level", "1", "--out", "OUT"]),
+      "E(X1) - 1", "--level", "1"]),
     ("extend-top", ("X1",),
      ["extend", "--ideal", "IDEAL", "--levels", "2", "--query",
       "E(X1) + X1"]),
@@ -81,8 +81,8 @@ DIGESTS = {
     "dagger-json": "28107bca08795b071819",
     "dagger-witness-text": "d5617e309c1fbd50c8cc",
     "dagger-witness-json": "3a80a222a0d07fb0f23a",
-    "extend-text": "546f43414cf83d3c639a",
-    "extend-json": "5843b769165da2edf4c2",
+    "extend-text": "4a8431dccffaa36f2fdf",
+    "extend-json": "1554a56927cba42086cc",
     "extend-top-text": "7c6d4628e9b810a42823",
     "extend-top-json": "35652bc27465f5f3a371",
     "saturate-unit-text": "a3d8b0313abd3fd015f7",
@@ -101,16 +101,12 @@ DIGESTS = {
                          ids=[c[0] for c in CASES])
 def test_cli_output_keeps_its_digest(capsys, tmp_path, case, lines, argv,
                                      mode):
-    ideal, out_file = tmp_path / "I.txt", tmp_path / "tower.json"
+    ideal = tmp_path / "I.txt"
     if lines is not None:
         ideal.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    argv = [{"IDEAL": str(ideal), "OUT": str(out_file)}.get(a, a)
-            for a in argv]
+    argv = [str(ideal) if a == "IDEAL" else a for a in argv]
     code = main(argv + (["--json"] if mode == "json" else []))
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
-    output = captured.out.encode()
-    if "--out" in argv:
-        output += out_file.read_bytes()
-    digest = hashlib.sha256(output).hexdigest()[:20]
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()[:20]
     assert digest == DIGESTS[f"{case}-{mode}"], captured.out
