@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (partiality, precondition violation,
 an `--order` too large for an index, terms nested deeper than the
-recursion limit; a tower of any height answers), 2 step budget exceeded
+recursion limit, a result with a number too long for `str()`; a tower of
+any height answers), 2 step budget exceeded
 (`--budget` counts every reduction step of the command and every tower
 level `extend` builds), 3 I/O or syntax error (a usage error such as a
 `--vars` above 100,000 or a `derive` with both or neither of `--var` and
@@ -460,12 +461,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, lines = args.func(args)
+        if getattr(args, "json", False):
+            lines = [json.dumps(doc)]
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kind, code in _EXIT_CODES
                     if isinstance(exc, kind))
-    if getattr(args, "json", False):
-        lines = [json.dumps(doc)]
+    except ValueError as exc:
+        # Printing an int longer than sys.get_int_max_str_digits(); every
+        # other ValueError is a bug and keeps its traceback.
+        if "integer string conversion" not in str(exc):
+            raise
+        sys.stderr.write("error: a number in the result has more digits "
+                         "than Python converts to text "
+                         f"({sys.get_int_max_str_digits()})\n")
+        return 1
     sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 

@@ -2,10 +2,11 @@
 
 This is the machine room for ideal computations: ordinary polynomial rings
 whose variables are the formal X's plus the units encoding group elements
-and their inverses.  Coefficients are exact scalars (`scalars`: int,
-Fraction or GaussianRational).  The code adds, subtracts and multiplies
-them with the field operators and divides them only through `scalar_div`,
-since `/` on two ints would give a float.
+and their inverses.  Coefficients are exact scalars (`scalars`): a rational
+is an int or a Fraction, and an element of Q(i) is a GaussianRational,
+one reduced integer triple (a + b*i)/d.  The code adds, subtracts and
+multiplies them with the field operators and divides them only through
+`scalar_div`, since `/` on two ints would give a float.
 
 Buchberger runs on bare polynomials, the generators followed by relations
 such as u*v - 1, and keeps a reduction trace.  From it cofactors are lifted
@@ -77,11 +78,6 @@ class MonomialOrder:
         back = [mono[i] for i in self._back]
         return (-sum(front), *front, -sum(back), *back)
 
-    def descriptor(self) -> str:
-        if not self.block:
-            return "grevlex"
-        return f"grevlex eliminating {list(self.block)}"
-
 
 def mono_mul(a, b):
     return tuple(map(add, a, b))
@@ -122,9 +118,6 @@ class PolyRing:
 
     def with_order(self, order: MonomialOrder) -> "PolyRing":
         return PolyRing(self.names, order)
-
-    def __repr__(self):
-        return f"PolyRing({self.names}, {self.order.descriptor()})"
 
 
 class Poly:

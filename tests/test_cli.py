@@ -180,6 +180,23 @@ def test_numeral_past_the_int_digit_limit_is_a_syntax_error(capsys,
     assert err == f"error: {message} (line 2, column 9)\n"
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no cap on int() digits")
+@pytest.mark.parametrize("coefficient", ["{n}*{n}", "1/{n}*1/{n}",
+                                         "((1/2)+({n})i)*{n}"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_result_past_the_int_digit_limit_is_a_domain_error(capsys,
+                                                           coefficient,
+                                                           json_flag):
+    """Each numeral is under the limit and parses; their product is over
+    it and cannot print, so the command exits 1 with one error line."""
+    n = "7" * (DIGIT_LIMIT // 2 + 2)
+    text = coefficient.format(n=n) + "*X1^2"
+    code, out, err = run(capsys, "derive", text, "--var", "1", *json_flag)
+    assert code == 1 and out == ""
+    assert err == ("error: a number in the result has more digits than "
+                   f"Python converts to text ({DIGIT_LIMIT})\n")
+
+
 @pytest.mark.parametrize("command", ["eval", "khovanskii"])
 @pytest.mark.parametrize("at", ["abc", "1/0"])
 def test_exit_code_malformed_series_point(capsys, command, at):

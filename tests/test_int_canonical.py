@@ -176,13 +176,11 @@ def test_kernel_leaves_no_float(problem, data):
 
 
 def _as_fraction(c):
-    """c as it was stored before ints were canonical: a Fraction, or a
-    Gaussian rational whose parts are Fractions.  The Gaussian is built
-    past its constructor, which would make integral parts ints."""
+    """c as it was stored before ints were canonical: a rational becomes a
+    Fraction.  A Gaussian rational is one reduced integer triple, which has
+    no Fraction form, so it stays as it is."""
     if isinstance(c, GaussianRational):
-        old = object.__new__(GaussianRational)
-        old.re, old.im = Fraction(c.re), Fraction(c.im)
-        return old
+        return c
     return Fraction(c)
 
 
