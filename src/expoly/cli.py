@@ -7,8 +7,10 @@ any height answers), 2 step budget exceeded
 (`--budget` counts every reduction step of the command and every tower
 level `extend` builds), 3 I/O or syntax error (a usage error such as a
 `--vars` above 100,000 or a `derive` with both or neither of `--var` and
-`--action`, a file that is not UTF-8, or a numeral too long for `int()`,
-included; an error in an ideal file names its line of the file), 4
+`--action`, a file that is not UTF-8, a numeral too long for `int()`, or
+an `--at` coefficient that is not a term-language constant, included; an
+error in an ideal file names its line of the file, and one in `--at` its
+column of the whole text), 4
 internal error (a failed consistency check such as a certificate that
 does not re-expand).
 
@@ -26,6 +28,7 @@ import cmath
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -37,8 +40,7 @@ from .ideals import IdealHandle
 from .models import (SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .rabin import nullstellensatz_pipeline
-from .scalars import parse_scalar
-from .textio import parse_epoly, parse_ideal_file
+from .textio import _error, parse_epoly, parse_ideal_file
 from .tower import (TowerIdeal, augmentation, augmentation_mod, dagger_check,
                     saturate_level_one)
 
@@ -50,10 +52,35 @@ def _load_ideal(args):
 
 
 def _point(args):
-    """The `--at` point; `eval_epoly` checks its coordinate count."""
-    return SeriesPoint([[parse_scalar(c) for c in g.split(",")]
-                        for g in args.at.split(";") if g.strip()],
-                       order=args.order)
+    """The `--at` point: `;` separates the variables (a blank group is
+    skipped) and `,` the series coefficients of one.  `eval_epoly` checks
+    the coordinate count."""
+    coords = []
+    for group in re.finditer(r"[^;]+", args.at):
+        if group[0].strip():
+            start, coeffs = group.start(), []
+            for piece in group[0].split(","):
+                coeffs.append(_coefficient(args.at, start, piece))
+                start += len(piece) + 1
+            coords.append(coeffs)
+    return SeriesPoint(coords, order=args.order)
+
+
+def _coefficient(text, start, piece):
+    """The term-language constant `piece`, which starts at offset `start`
+    of `text`; a syntax error names its line and column in `text`."""
+    try:
+        p = parse_epoly(piece, 1)
+    except ParseError as exc:
+        # From the line and column in `piece` back to an offset of `text`.
+        skipped = piece.split("\n")[:exc.line - 1]
+        raise _error(text, start + sum(len(ln) + 1 for ln in skipped)
+                     + exc.col - 1, exc.message) from None
+    c = p.constant_term()
+    if p != c:
+        raise _error(text, start + len(piece) - len(piece.lstrip()),
+                     f"expected a constant, found {piece.strip()!r}")
+    return c
 
 
 def _true_false(flag) -> str:

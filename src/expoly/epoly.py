@@ -337,15 +337,15 @@ def _format_term(key, coeff):
         factors.append(f"E({exponent})")
     if isinstance(coeff, GaussianRational):
         # Gaussian coefficients keep their own signs inside the literal.
-        lit = f"(({coeff.re})+({coeff.im})i)"
+        lit = f"({format_scalar(coeff)})"
         return 1, "*".join([lit] + factors) if factors else lit
     sign = 1 if coeff > 0 else -1
     mag = abs(coeff)
     if not factors:
-        return sign, str(mag)
+        return sign, format_scalar(mag)
     if mag == 1:
         return sign, "*".join(factors)
-    return sign, "*".join([str(mag)] + factors)
+    return sign, "*".join([format_scalar(mag)] + factors)
 
 
 def ord_reduce(p: EPoly) -> tuple[EPoly, EPoly]:

@@ -10,7 +10,7 @@ imaginary part cancels is a rational, so a Gaussian rational with zero
 imaginary part never exists.  The read-only parts `.re` and `.im` are
 rationals under the int-or-Fraction rule.
 
-`as_scalar`, `gaussian`, `scalar_re`, `parse_scalar`, `scalar_div` and the
+`as_scalar`, `gaussian`, `scalar_re`, `scalar_div` and the
 `GaussianRational` operators return canonical values.  Raw `Fraction`
 arithmetic may still give a `Fraction` with denominator 1; it equals the
 int, hashes like it and prints like it, so `==`, dict/set keys and text
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from .errors import ParseError
 
 
 class GaussianRational:
@@ -218,32 +216,4 @@ def format_scalar(c) -> str:
     if isinstance(c, GaussianRational):
         return f"({c.re})+({c.im})i"
     return str(_rational(c))
-
-
-def parse_scalar(text: str):
-    """Parse the canonical scalar text form (unreduced fractions accepted)."""
-    s = text.strip()
-    if s.endswith("i"):
-        body = s[:-1]
-        for cut in range(1, len(body)):
-            if body[cut] in "+-" and body[cut - 1] == ")":
-                try:
-                    re_part = _parse_rational(body[:cut].strip())
-                    sign = -1 if body[cut] == "-" else 1
-                    im_part = _parse_rational(body[cut + 1:].strip())
-                    return gaussian(re_part, sign * im_part)
-                except ParseError:
-                    continue
-        raise ParseError(f"malformed Gaussian rational literal {text!r}")
-    return _parse_rational(s)
-
-
-def _parse_rational(s: str) -> int | Fraction:
-    s = s.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1].strip()
-    try:
-        return _rational(Fraction(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"malformed rational literal {s!r}") from exc
 

@@ -2,12 +2,12 @@
 
 Grammar (whitespace insensitive)::
 
-    epoly  := ['+'|'-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := 'X'<digits> ['^'<digits>] | 'E' '(' epoly ')' | scalar
-    scalar := <digits> ['/' <digits>] | gaussian | '(' gaussian ')' | 'i'
-    gaussian := '(' rat ')' ('+'|'-') '(' rat ')' 'i'
-    rat    := ['-'] <digits> ['/' <digits>]
+    epoly    := ['+'|'-'] term (('+'|'-') term)*
+    term     := factor ('*' factor)*
+    factor   := 'X'<digits> ['^'<digits>] | 'E' '(' epoly ')' | scalar
+    scalar   := <digits> ['/' <digits>] | gaussian | 'i'
+    gaussian := '(' rat ')' ('+'|'-') '(' rat ')' 'i' | '(' gaussian ')'
+    rat      := ['-'] <digits> ['/' <digits>]
 
 There are no parenthesised sums, so every term is coeff * X^mono * E(sum of
 arguments).  Each term is built in one pass as one (key, coefficient) pair:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from expoly import textio
 from expoly.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -52,3 +53,13 @@ def test_readme_example_prints_its_comment(capsys, argv, expected):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == expected + "\n"
+
+
+def test_readme_grammar_is_the_parser_docstring_grammar():
+    """The README's "Term language" block is the grammar in the `textio`
+    docstring, line for line."""
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"## Term language\n\n```\n(.*?)```", readme, re.S)
+    grammar = re.search(r"Grammar .*?::\n\n(.*?)\n\n", textio.__doc__, re.S)
+    assert block[1].splitlines() == [
+        line[4:] for line in grammar[1].splitlines()]

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -6,10 +9,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from expoly import GaussianRational, IMAG_UNIT, gaussian  # noqa: E402
+from expoly import (GaussianRational, IMAG_UNIT, gaussian,  # noqa: E402
+                    parse_epoly)
+from expoly.cli import main  # noqa: E402
 from expoly.scalars import (as_scalar, format_scalar,  # noqa: E402
-                            parse_scalar, scalar_div, scalar_im, scalar_inv,
-                            scalar_re, scalar_sort_key)
+                            scalar_div, scalar_im, scalar_inv, scalar_re,
+                            scalar_sort_key)
 
 from helpers import random_scalar  # noqa: E402
 
@@ -66,15 +71,19 @@ def test_canonical_equality_is_representation_equality():
     assert a == b and hash(a) == hash(b) and type(a) is type(b)
 
 
+def _read(text):
+    """The scalar that a term-language constant denotes."""
+    return parse_epoly(text, 1).constant_term()
+
+
 def test_text_forms_round_trip():
     for c in (Fraction(5, 6), Fraction(-3), gaussian(Fraction(1, 2),
                                                      Fraction(1, 3)),
               gaussian(1, -2), Fraction(0)):
-        assert parse_scalar(format_scalar(c)) == c
+        assert _read(format_scalar(c)) == c
     # unreduced input is accepted, printing is reduced
-    assert format_scalar(parse_scalar("2/4")) == "1/2"
-    assert parse_scalar("(1/2)+(1/3)i") == gaussian(Fraction(1, 2),
-                                                    Fraction(1, 3))
+    assert format_scalar(_read("2/4")) == "1/2"
+    assert _read("(1/2)+(1/3)i") == gaussian(Fraction(1, 2), Fraction(1, 3))
 
 
 def test_sort_key_is_total():
@@ -161,7 +170,7 @@ def test_arithmetic_results_are_canonical(pair):
     _assert_canonical(gaussian(*ra), ra)
     _assert_canonical(as_scalar(a), ra)
     _assert_canonical(-as_scalar(a), (-ra[0], -ra[1]))
-    _assert_canonical(parse_scalar(format_scalar(a)), ra)
+    _assert_canonical(_read(format_scalar(a)), ra)
     if ra != (0, 0):
         _assert_canonical(scalar_inv(a), _ref_inv(ra))
     if rb != (0, 0):
@@ -196,3 +205,40 @@ def test_gaussian_parts_are_fractions():
     z = gaussian(Fraction(1, 3), 1) * 3
     assert type(z.re) is int and type(z.im) is int and z == gaussian(1, 3)
     assert type(gaussian(3, 0)) is int
+
+
+@st.composite
+def _coefficient_text(draw):
+    """(text, value): a Q(i) coefficient in a term-language form that is
+    not always canonical (unreduced fractions, spaces, a bare `i`)."""
+    def rational():
+        k = draw(st.integers(1, 3))
+        n, d = draw(_INTS), draw(st.integers(1, 4))
+        return f"{n * k}/{d * k}", Fraction(n, d)
+    re_text, re = rational()
+    kind = draw(st.sampled_from(["rational", "literal", "sum"]))
+    if kind == "rational":
+        return re_text, as_scalar(re)
+    im_text, im = rational()
+    if kind == "literal":
+        return f"({re_text})+({im_text})i", gaussian(re, im)
+    return f" {re_text} + i ", gaussian(re, 1)
+
+
+@PROPERTY
+@given(st.lists(_coefficient_text(), min_size=1, max_size=5))
+def test_eval_json_coefficients_read_back(coefficients):
+    """`eval --json X1 --at <list>` prints the canonical coefficients, and
+    those, joined by commas, read back to the same document."""
+    def run(at):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["eval", "--json", "X1", f"--at={at}",
+                         "--order", str(len(coefficients))])
+        assert code == 0
+        return out.getvalue()
+
+    document = run(",".join(text for text, _ in coefficients))
+    printed = json.loads(document)["coefficients"]
+    assert printed == [format_scalar(value) for _, value in coefficients]
+    assert run(",".join(printed)) == document
