@@ -7,8 +7,9 @@ any height answers), 2 step budget exceeded
 (`--budget` counts every reduction step of the command and every tower
 level `extend` builds), 3 I/O or syntax error (a usage error such as a
 `--vars` above 100,000 or a `derive` with both or neither of `--var` and
-`--action`, a file that is not UTF-8, a numeral too long for `int()`, or
-an `--at` coefficient that is not a term-language constant, included; an
+`--action`, a file that is not UTF-8, a numeral too long for `int()`, a
+variable index above 100,000 where the count is inferred, or an `--at`
+coefficient that is not a term-language constant, included; an
 error in an ideal file names its line of the file, and one in `--at` its
 column of the whole text), 4
 internal error (a failed consistency check such as a certificate that
@@ -18,7 +19,9 @@ Each subcommand returns its `--json` document and its text lines; `main`
 alone prints one of them, or maps an error to its exit code.  `--json`
 switches every subcommand but `demo` to machine-readable output.  Each
 text is parsed once, by `textio`; argparse enforces the option rules, and
-`eval_epoly` checks a point's coordinate count.
+`eval_epoly` checks a point's coordinate count.  Every option but `-h`
+starts with `--`, so an argument that starts with one `-`, such as the
+printed value `-2*X1` or the point `-1/2`, is a value.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .ideals import IdealHandle
 from .models import (SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .rabin import nullstellensatz_pipeline
-from .textio import _error, parse_epoly, parse_ideal_file
+from .textio import _MAX_VARS, _error, parse_epoly, parse_ideal_file
 from .tower import (TowerIdeal, augmentation, augmentation_mod, dagger_check,
                     saturate_level_one)
 
@@ -329,6 +332,13 @@ def _random_zero_const(rng, nvars):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        """Every option but `-h` starts with `--`, so an argument that starts
+        with one `-`, such as `-2*X1`, is a value: argparse's pattern for
+        negative numbers, which it reads as values, is widened to match."""
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
     def error(self, message):
         """A usage error is a syntax error: usage line, then exit 3."""
         self.print_usage(sys.stderr)
@@ -374,9 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
         if vars_flag:
             # Memory grows by about 0.2 KB per variable, so it is bounded.
             p.add_argument("--vars",
-                           type=_int_at_least(1, "variable count", 100_000),
+                           type=_int_at_least(1, "variable count", _MAX_VARS),
                            default=None,
-                           help="variable count <= 100,000 (default inferred)")
+                           help=f"variable count <= {_MAX_VARS:,} "
+                                "(default inferred)")
 
     p = sub.add_parser("ord", help="ordinal complexity of a value")
     p.add_argument("expr")

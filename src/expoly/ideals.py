@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .epoly import EPoly, _term_key
 from .errors import (DEFAULT_BUDGET, Budget, InternalError,
-                     VariableCountError)
+                     PreconditionError, VariableCountError)
 from .linalg import (RationalEchelon, lattice_basis, solve_upper_integer,
                      vec_add)
 from .polyring import MonomialOrder, Poly, PolyRing, buchberger
@@ -381,10 +381,7 @@ class IdealHandle:
     def intersect_subring(self, level: int) -> "IdealHandle":
         """Generators of the intersection with R_level, by block elimination."""
         if level < 0:
-            # R_{-1} is the base field: proper ideals meet it in {0}.
-            if self.is_proper():
-                return self._sharing(())
-            return self._sharing((EPoly.const(self.nvars, 1),))
+            raise PreconditionError("intersect_subring needs a level >= 0")
         pres = self.presentation()
         if level not in self._cuts:
             elim = pres.eliminating(level)
@@ -402,9 +399,6 @@ class IdealHandle:
         handle = IdealHandle(gens, nvars=self.nvars)
         handle._budget = self._budget
         return handle
-
-    def is_proper(self) -> bool:
-        return not self.decide(EPoly.const(self.nvars, 1))
 
     def __repr__(self):
         return f"IdealHandle([{', '.join(str(g) for g in self.gens)}])"

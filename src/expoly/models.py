@@ -2,7 +2,9 @@
 
 Values are truncated power series K[[t]]/t^N over Q or Q(i), with the
 Neumann exponential on the maximal ideal; E is partial, defined only where
-the constant coefficient is zero.
+the constant coefficient is zero.  `series_exp` builds f = exp(s) in one
+pass from f' = s'*f, that is n*f_n = sum of k*s_k*f_(n-k) (Knuth, TAOCP
+vol. 2, section 4.7): O(N*m) scalar products for m nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from .ediff import jacobian
 from .epoly import EPoly
 from .errors import PartialityError, PreconditionError, VariableCountError
-from .scalars import GaussianRational, as_scalar, format_scalar, scalar_inv
+from .scalars import GaussianRational, as_scalar, format_scalar, scalar_div
 
 
 class TruncatedSeries:
@@ -124,19 +126,17 @@ class TruncatedSeries:
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp on the maximal ideal: sum of s^k / k! for k < N, exact mod t^N."""
+    """exp on the maximal ideal, exact mod t^N: f_0 = 1 and n*f_n is the
+    sum of k*s_k*f_(n-k) over the nonzero s_k, O(N*m) products in all."""
     if s.coeffs[0] != 0:
         raise PartialityError(
             f"series exponential undefined: constant coefficient "
             f"{s.coeffs[0]} is nonzero")
-    out = TruncatedSeries.const(1, s.order)
-    power = TruncatedSeries.const(1, s.order)
-    factorial = 1
-    for k in range(1, s.order):
-        power = power * s
-        factorial *= k
-        out = out + power * scalar_inv(factorial)
-    return out
+    ks = [(k, k * c) for k, c in enumerate(s.coeffs) if c != 0]
+    f = [1]
+    for n in range(1, s.order):
+        f.append(scalar_div(sum(a * f[n - k] for k, a in ks if k <= n), n))
+    return TruncatedSeries(f)
 
 
 class SeriesPoint:
@@ -161,7 +161,7 @@ def eval_epoly(p: EPoly, point: SeriesPoint) -> TruncatedSeries:
         raise VariableCountError(
             f"point has {len(point.values)} coordinates, value has "
             f"{p.nvars} variables")
-    total = None
+    total = TruncatedSeries.const(0, point.order)
     for (mono, exponent), coeff in p.terms:
         acc = TruncatedSeries.const(coeff, point.order)
         for j, e in enumerate(mono):
@@ -174,9 +174,7 @@ def eval_epoly(p: EPoly, point: SeriesPoint) -> TruncatedSeries:
                     f"E-node E({exponent}) evaluates outside the exponential"
                     f" domain: constant coefficient {v.coeffs[0]}")
             acc = acc * series_exp(v)
-        total = acc if total is None else total + acc
-    if total is None:
-        return TruncatedSeries.const(0, point.order)
+        total = total + acc
     return total
 
 

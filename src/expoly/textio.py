@@ -193,10 +193,21 @@ class _Parser:
         return gaussian(re_part, im_part if op == "+" else -im_part)
 
 
-def _var_count(token_lists) -> int:
-    """The largest variable index the token lists use, at least 1."""
-    return max([1] + [value for kinds, values, _ in token_lists
-                      for kind, value in zip(kinds, values) if kind == "var"])
+# The most variables a value may have: memory grows with the count.
+_MAX_VARS = 100_000
+
+
+def _var_count(text, tokens) -> int:
+    """The largest variable index the tokens of `text` use, at least 1; an
+    index above _MAX_VARS is a syntax error at that variable."""
+    count = 1
+    for kind, value, offset in zip(*tokens):
+        if kind == "var":
+            if value > _MAX_VARS:
+                raise _error(text, offset, f"variable X{value} is above the "
+                             f"bound of {_MAX_VARS:,} variables")
+            count = max(count, value)
+    return count
 
 
 def _parse_tokens(text, tokens, nvars: int) -> EPoly:
@@ -211,8 +222,8 @@ def _parse_tokens(text, tokens, nvars: int) -> EPoly:
 def parse_epoly(text: str, nvars: int | None = None) -> EPoly:
     """Parse the term language; nvars defaults to the largest index used."""
     tokens = _tokenize(text)
-    return _parse_tokens(text, tokens, _var_count([tokens]) if nvars is None
-                         else nvars)
+    return _parse_tokens(text, tokens, _var_count(text, tokens)
+                         if nvars is None else nvars)
 
 
 def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
@@ -228,7 +239,9 @@ def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
         for number, ln in lines:
             scanned.append((number, ln, _tokenize(ln)))
         if nvars is None:
-            nvars = _var_count(tokens for _, _, tokens in scanned)
+            nvars = 1
+            for number, ln, tokens in scanned:
+                nvars = max(nvars, _var_count(ln, tokens))
         for number, ln, tokens in scanned:
             out.append(_parse_tokens(ln, tokens, nvars))
     except ParseError as exc:

@@ -297,6 +297,17 @@ def test_eval_large_power_squares():
     assert proc.stdout == "0\n"
 
 
+def test_eval_series_exponential_in_one_pass():
+    """E of a dense series takes one pass of the recurrence n*f_n =
+    sum of k*s_k*f_(n-k), not a sum of N series powers."""
+    proc = subprocess.run([sys.executable, "-m", "expoly", "eval",
+                           "E(X1*E(X1))", "--at", "0,1", "--order", "320"],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 + t + 3/2 t^2 + 5/3 t^3 + 41/24 t^4 + ")
+
+
 def test_exit_code_ideal_file_not_utf8(capsys, tmp_path):
     path = tmp_path / "I.txt"
     path.write_bytes(b"X1 - \xff\n")
@@ -424,6 +435,78 @@ def test_exit_code_count_out_of_range(capsys, ideal_file, argv):
     code, err = _usage_error(capsys, *argv, "--ideal", path)
     assert code == 3 and err.startswith("usage:")
     assert f"argument {argv[1]}:" in err and "out of range" not in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("index, code", [(100_000, 0), (100_001, 3),
+                                         (10 ** 20, 3)])
+def test_inferred_variable_count_has_the_vars_bound(capsys, ideal_file,
+                                                    json_flag, index, code):
+    """A variable count inferred from the text has the bound of --vars: an
+    index above it, even one too large for an index, is a syntax error at
+    that variable, in an expression or a line of an ideal file."""
+    path = ideal_file("I.txt", "X1 - 1", f"X1*X{index}")
+    for argv, where in ((["ord", f"X1 + X{index}"], "line 1, column 6"),
+                        (["member", "--ideal", path, "X1"],
+                         "line 2, column 4")):
+        got, out, err = run(capsys, *argv, *json_flag)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (f"error: variable X{index} is above the bound of "
+                           f"100,000 variables ({where})\n")
+
+
+# Each command with a value argument, and the value it is given: one that
+# starts with `-`, and the same value written without a leading `-`.
+DASH_VALUES = [
+    (["ord", "{v}"], "-X1", "0 - X1"),
+    (["member", "--ideal", "{path}", "{v}"], "-X1", "0 - X1"),
+    (["eval", "X1", "--at", "{v}"], "-1/2", "0-1/2"),
+    (["extend", "--ideal", "{path}", "--query", "{v}"], "-X1", "0 - X1"),
+    (["rabinowitsch", "--ideal", "{path}", "--g", "{v}"], "-X1", "0 - X1"),
+    (["derive", "X1*X2", "--action", "{v}", "--action", "X2"],
+     "-X1", "0 - X1"),
+]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("argv, dashed, plain", DASH_VALUES,
+                         ids=[argv[0] for argv, _, _ in DASH_VALUES])
+def test_value_starting_with_a_dash_is_a_value(capsys, ideal_file, json_flag,
+                                               argv, dashed, plain):
+    """An argument that starts with one `-` is read as a value, not as an
+    option: the command answers as for the same value without the `-`."""
+    path = ideal_file("I.txt", "X1")
+    outputs = []
+    for value in (dashed, plain):
+        filled = [a.format(v=value, path=path) for a in argv]
+        code, out, err = run(capsys, *filled, *json_flag)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_printed_value_starting_with_a_dash_reads_back(capsys, ideal_file):
+    """`str(p)` may start with `-`; fed back to a command, it is the same
+    value."""
+    path = ideal_file("I.txt", "X1")
+    code, out, _ = run(capsys, "derive", "-X1^2*E(X1)", "--var", "1")
+    printed = out.strip()
+    assert code == 0 and printed == "-X1^2*E(X1) - 2*X1*E(X1)"
+    code, out, _ = run(capsys, "extend", "--ideal", path, "--query",
+                       printed, "--json")
+    assert code == 0 and json.loads(out)["query"] == printed
+
+
+def test_dash_h_still_prints_help_and_an_unknown_dash_is_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ord", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: expoly ord")
+    code, out, err = run(capsys, "ord", "-q")
+    assert code == 3 and out == ""
+    assert err == "error: unexpected character 'q' (line 1, column 2)\n"
 
 
 def test_smallest_counts_are_accepted(capsys, ideal_file):

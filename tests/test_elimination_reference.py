@@ -10,7 +10,8 @@ elimination order is the reduced basis of the intersection, so the cut
 generators must be equal, in the same order.  The edits: the earlier
 presentation methods sit on a subclass of `LaurentPresentation`, the
 earlier `_basis` and `intersect_subring` on a subclass of `IdealHandle`,
-and `_refine` wraps each presentation in the subclass.
+`_refine` wraps each presentation in the subclass, and the branch for a
+level below 0, which no command reaches, is gone from both.
 """
 
 import random
@@ -113,11 +114,6 @@ class ReferenceHandle(IdealHandle):
 
     def intersect_subring(self, level: int) -> "IdealHandle":
         """Generators of the intersection with R_level, by block elimination."""
-        if level < 0:
-            # R_{-1} is the base field: proper ideals meet it in {0}.
-            if self.is_proper():
-                return self._sharing(())
-            return self._sharing((EPoly.const(self.nvars, 1),))
         pres = self.presentation()
         if level not in self._cuts:
             eliminated = pres.eliminated_var_indices(level)
