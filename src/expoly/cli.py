@@ -6,7 +6,8 @@ recursion limit, a result with a number too long for `str()`; a tower of
 any height answers), 2 step budget exceeded
 (`--budget` counts every reduction step of the command and every tower
 level `extend` builds), 3 I/O or syntax error (a usage error such as a
-`--vars` above 100,000 or a `derive` with both or neither of `--var` and
+`--vars` above 100,000, an integer option that is not decimal, such as
+`--order 1_0`, or a `derive` with both or neither of `--var` and
 `--action`, a file that is not UTF-8, a numeral too long for `int()`, a
 variable index above 100,000 where the count is inferred, or an `--at`
 coefficient that is not a term-language constant, included; an
@@ -352,15 +353,17 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _int_at_least(low: int, what: str, high: float = math.inf):
+def _int_at_least(low: float, what: str, high: float = math.inf):
     """An argparse type for decimal integers >= low (and <= high); anything
-    else is a usage error."""
+    else is a usage error.  An infinite bound is no bound."""
     def parse(text: str) -> int:
         digits = text[1:] if text.startswith("-") else text
         if not digits.isdecimal() or not low <= int(text) <= high:
-            bound = "" if high == math.inf else f" and <= {high}"
+            bounds = " and".join(
+                f" {op} {b}" for op, b in ((">=", low), ("<=", high))
+                if math.isfinite(b))
             raise argparse.ArgumentTypeError(
-                f"{what} must be an integer >= {low}{bound}, got {text!r}")
+                f"{what} must be an integer{bounds}, got {text!r}")
         return int(text)
     return parse
 
@@ -396,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def series_point(p):
         """Add the series point options of eval and khovanskii."""
-        p.add_argument("--order", type=int, default=8,
+        # An order below 1 is a domain error of the series model (exit 1).
+        p.add_argument("--order", type=_int_at_least(-math.inf, "order"),
+                       default=8,
                        help="series truncation order (default 8)")
         p.add_argument("--at", required=True,
                        help="point: per-variable groups separated by ';', "
@@ -463,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_int_at_least(0, "level count"),
                    default=1)
     p.add_argument("--query", default=None)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_int_at_least(0, "level"), default=None)
     common(p, budget=True)
     p.set_defaults(func=cmd_extend)
 

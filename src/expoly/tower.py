@@ -10,6 +10,13 @@ level ideal.  The plain augmentation is the same image over an empty slice.
 All guarantees ((dagger), properness, level consistency) are relative to
 the tracked slice, which is exactly what the finite computation can
 certify.
+
+Two answers are remembered because the state they depend on is fixed.  A
+`TowerIdeal` keeps the base verdict of each image it sends down: its base
+handle builds its basis once and is never replaced.  A tracked slice keeps
+the split of each exponent until `try_add` accepts a seed, the one change
+to its seeds and echelon.  Each memo stops growing at `_MEMO_LIMIT`
+entries and then computes what it does not hold.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ from .linalg import RationalEchelon, integer_kernel
 
 # Saturation rounds before `saturate_level_one` gives up.
 _MAX_SATURATION_ROUNDS = 64
+
+# Entries after which the base-verdict and split memos stop inserting.
+_MEMO_LIMIT = 4096
 
 
 class TrackedSeed(NamedTuple):
@@ -45,6 +55,7 @@ class TrackedDecomposition:
         self.nvars = nvars
         self.seeds: list[TrackedSeed] = []
         self._echelon = RationalEchelon(coord_order=_coord_key)
+        self._splits: dict = {}  # exponent -> split(exponent), these seeds
 
     def try_add(self, f: EPoly) -> str | None:
         """Track f; returns a rejection reason or None on success."""
@@ -58,6 +69,7 @@ class TrackedDecomposition:
         if not independent:
             return "projection depends Q-linearly on the tracked span"
         self.seeds.append(TrackedSeed(f, f - projection))
+        self._splits.clear()
         return None
 
     def split(self, a: EPoly):
@@ -67,14 +79,23 @@ class TrackedDecomposition:
         projection a0.
 
         a1 is reduced against every tracked pivot, so a nonzero a1 never
-        lies in the tracked span."""
+        lies in the tracked span.  With seeds, the result is remembered
+        until `try_add` accepts the next one, up to `_MEMO_LIMIT` entries."""
+        if not self.seeds:
+            return a, EPoly.zero(self.nvars)
+        known = self._splits.get(a)
+        if known is not None:
+            return known
         residual, coeffs = self._echelon.reduce(_coords(a.terms))
         if not coeffs:
-            return a, EPoly.zero(self.nvars)
-        fhat_lower = EPoly.combination(
-            self.nvars, ((self.seeds[idx].lower, lam)
-                         for idx, lam in coeffs.items()))
-        return _coords_epoly(residual, self.nvars), fhat_lower
+            out = a, EPoly.zero(self.nvars)
+        else:
+            out = _coords_epoly(residual, self.nvars), EPoly.combination(
+                self.nvars, ((self.seeds[idx].lower, lam)
+                             for idx, lam in coeffs.items()))
+        if len(self._splits) < _MEMO_LIMIT:
+            self._splits[a] = out
+        return out
 
 
 class RewriteTerm(NamedTuple):
@@ -222,13 +243,17 @@ class TowerIdeal:
 
     Membership at level n+1 is the kernel condition of the modified
     augmentation: rewrite, sum the coefficients, descend one level, until
-    the base ideal decides.
+    the base ideal decides.  The base verdict of each image is remembered,
+    up to `_MEMO_LIMIT` images: the base handle builds its basis once and
+    is never replaced, so a remembered image is decided, lifted and
+    re-expanded only the first time it is asked.
     """
 
     def __init__(self, base: IdealHandle):
         self.base = base
         self.base_layer = base.layer()
         self.decomps: list[TrackedDecomposition] = []
+        self._verdicts: dict = {}  # base image -> base membership verdict
 
     @property
     def top_level(self) -> int:
@@ -260,7 +285,12 @@ class TowerIdeal:
                       for t in terms):
                 terms = rewrite(p, dec)
             p, level = _image(terms, p.nvars), level - 1
-        return self.base.membership(p).member
+        verdict = self._verdicts.get(p)
+        if verdict is None:
+            verdict = self.base.membership(p).member
+            if len(self._verdicts) < _MEMO_LIMIT:
+                self._verdicts[p] = verdict
+        return verdict
 
     def extend(self, levels: int) -> "TowerIdeal":
         """Add `levels` levels.  The first needs (dagger) on the base

@@ -228,6 +228,24 @@ def test_exit_code_order_below_one(capsys, command, order):
     assert err == "error: truncation order must be at least 1\n"
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "E(X1)-1", "--at", "0,1", "--order"],
+    ["khovanskii", "E(X1)-1", "--at", "0,1", "--order"],
+    ["extend", "--levels", "2", "--query", "E(X1)-1", "--level"],
+], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_integer_option_is_decimal_only(capsys, ideal_file, argv, text):
+    """--order and --level read decimal integers only, as every other
+    integer option does: an underscore, a sign + or a blank is a usage
+    error, not a number."""
+    flag = argv[-1]
+    if argv[0] == "extend":
+        argv = ["extend", "--ideal", ideal_file("I.txt", "X1"), *argv[1:]]
+    code, err = _usage_error(capsys, *argv, text)
+    assert code == 3 and err.startswith("usage:")
+    assert f"argument {flag}: " in err and f"got {text!r}" in err
+
+
 def _src_env():
     """The environment with this checkout's `src` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -424,13 +442,14 @@ def test_exit_code_negative_budget(capsys, ideal_file):
 @pytest.mark.parametrize("argv", [
     ["extend", "--levels", "-3", "--query", "E(X1)-1"],
     ["extend", "--levels", "two"],
+    ["extend", "--level", "-1", "--query", "E(X1)-1"],
     ["member", "--vars", "0", "X1"],
     ["member", "--vars", "-1", "X1"],
     ["member", "--vars", "100001", "X1"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_exit_code_count_out_of_range(capsys, ideal_file, argv):
-    """--levels below 0 and --vars below 1 or above 100,000 are usage
-    errors, like --budget."""
+    """--levels or --level below 0 and --vars below 1 or above 100,000
+    are usage errors, like --budget."""
     path = ideal_file("I.txt", "X1")
     code, err = _usage_error(capsys, *argv, "--ideal", path)
     assert code == 3 and err.startswith("usage:")

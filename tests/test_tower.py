@@ -7,6 +7,8 @@ from expoly import (EPoly, IdealHandle, InternalError, PreconditionError,
                     real_kernel_check, rewrite, rewrite_expand,
                     saturate_level_one)
 
+from expoly import tower as tower_module
+from expoly.polyring import GroebnerBasis
 from expoly.tower import _directions_in_ideal
 
 from helpers import random_epoly, random_zero_const
@@ -208,6 +210,97 @@ class TestTower:
                 combo = combo + random_epoly(rng, 1, height=1,
                                              max_terms=2) * g
             assert tower.membership(combo, 1)
+
+
+def _memo_queries():
+    """A tower over <X1, X2^2> with three levels, and a query stream that
+    repeats each query in a shuffled order."""
+    x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
+    tower = TowerIdeal(IdealHandle([x1, x2 * x2])).extend(3)
+    queries = [(x1.exp() - 1, 1), ((x1 + x2).exp() - 1, 1),
+               (x2 * x2 * x1.exp(), 1), ((2 * x1).exp() - x1.exp(), 1),
+               ((x2 * x2).exp() - 1, 2), (x1.exp().exp() - 1, 2),
+               ((x1.exp() - x1).exp() - 1, 3), (x2.exp() - 1, 2),
+               (x1 * x1 * (x1 + x2).exp(), 3), (x2 * x1.exp().exp(), 3)]
+    shuffled = list(queries)
+    random.Random(29).shuffle(shuffled)
+    return tower, queries + shuffled + queries
+
+
+class _BaseSpy:
+    """Records each value the spied handle's `membership` is asked."""
+
+    def __init__(self, monkeypatch, handle):
+        self.asked = []
+        exact = IdealHandle.membership
+
+        def spied(ideal, p):
+            if ideal is handle:
+                self.asked.append(p)
+            return exact(ideal, p)
+
+        monkeypatch.setattr(IdealHandle, "membership", spied)
+
+
+class TestMemos:
+    """The base-verdict and split memos give the answers that recomputing
+    gives, stay within `_MEMO_LIMIT`, and skip no check."""
+
+    def test_split_after_try_add_matches_a_fresh_slice(self):
+        x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
+        f1, f2 = x1.exp() + x1, x2.exp() - x2 * x2
+        a = x1.exp() + 2 * x2.exp()
+        dec = _tracked(1, 2, f1)
+        before = dec.split(a)
+        assert dec.split(a) == before
+        assert dec.try_add(f2) is None
+        assert dec.split(a) == _tracked(1, 2, f1, f2).split(a) != before
+
+    def test_each_base_image_is_decided_once(self, monkeypatch):
+        monkeypatch.setattr(tower_module, "_MEMO_LIMIT", 0)
+        plain, queries = _memo_queries()
+        plain_spy = _BaseSpy(monkeypatch, plain.base)
+        expected = [plain.membership(q, level) for q, level in queries]
+        monkeypatch.undo()
+        tower, _ = _memo_queries()
+        known = set(tower._verdicts)  # the seeds decided while extending
+        spy = _BaseSpy(monkeypatch, tower.base)
+        assert [tower.membership(q, level) for q, level in queries] == expected
+        assert len(spy.asked) == len(set(spy.asked))
+        assert set(spy.asked) == set(plain_spy.asked) - known
+        assert len(plain_spy.asked) > len(set(plain_spy.asked))
+
+    def test_a_forced_mismatch_still_raises(self, monkeypatch):
+        """A skewed cofactor lift fails the re-expansion check of an image
+        the first time it is asked, and every time after: a failed check
+        leaves no verdict behind."""
+        tower = TowerIdeal(IdealHandle([X])).extend(1)
+        query = X * X * X.exp()  # its base image X1^2 is new to the tower
+        exact = GroebnerBasis.cofactors
+
+        def skewed(self, p):
+            cofactors = exact(self, p)
+            if cofactors is not None:
+                cofactors[0] = cofactors[0] + self.ring.const(1)
+            return cofactors
+
+        monkeypatch.setattr(GroebnerBasis, "cofactors", skewed)
+        for _ in range(2):
+            with pytest.raises(InternalError, match="expansion mismatch"):
+                tower.membership(query, 1)
+        monkeypatch.undo()
+        assert tower.membership(query, 1)
+
+    def test_memos_stop_at_the_limit(self, monkeypatch):
+        free, queries = _memo_queries()
+        expected = [free.membership(q, level) for q, level in queries]
+        assert len(free._verdicts) > 2
+        assert max(len(d._splits) for d in free.decomps) > 2
+        monkeypatch.setattr(tower_module, "_MEMO_LIMIT", 2)
+        tower, _ = _memo_queries()
+        assert [tower.membership(q, level) for q, level in queries] == expected
+        assert len(tower._verdicts) <= 2
+        assert all(len(d._splits) <= 2 for d in tower.decomps)
 
 
 class TestSaturation:

@@ -15,6 +15,7 @@ seeds after every query, and the same augmentation images and errors.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -22,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from expoly import EPoly, IdealHandle, TowerIdeal  # noqa: E402
+from expoly import tower as tower_module  # noqa: E402
 from expoly.epoly import term_layer  # noqa: E402
 from expoly.errors import InternalError, PreconditionError  # noqa: E402
 from expoly.ideals import _coords, _coords_epoly  # noqa: E402
@@ -265,6 +267,24 @@ def test_tower_queries_match_reference(case):
         assert _seeds(tower) == _seeds(ref)
     assert (tower.base.presentation().describe()
             == ref.base.presentation().describe())
+
+
+@PROPERTY
+@given(towers(), st.randoms(use_true_random=False))
+def test_memos_change_no_verdict(case, rng):
+    """Queries asked again and in shuffled order get the verdicts and
+    leave the tracked seeds that a tower with no memo gives."""
+    gens, levels, queries = case
+    tower = _build(gens, levels)
+    assume(tower is not None)
+    with mock.patch.object(tower_module, "_MEMO_LIMIT", 0):
+        plain = _build(gens, levels)
+    stream = queries + rng.sample(queries, len(queries)) + queries
+    verdicts = [tower.membership(q, level) for q, level in stream]
+    with mock.patch.object(tower_module, "_MEMO_LIMIT", 0):
+        assert verdicts == [plain.membership(q, level) for q, level in stream]
+    assert not plain._verdicts and not any(d._splits for d in plain.decomps)
+    assert _seeds(tower) == _seeds(plain)
 
 
 @st.composite
