@@ -1,28 +1,34 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (partiality, precondition violation,
-an `--order` too large for an index, terms nested deeper than the
-recursion limit, a result with a number too long for `str()`; a tower of
-any height answers), 2 step budget exceeded
-(`--budget` counts every reduction step of the command and every tower
-level `extend` builds), 3 I/O or syntax error (a usage error such as a
-`--vars` above 100,000, an integer option that is not decimal, such as
-`--order 1_0`, or a `derive` with both or neither of `--var` and
-`--action`, a file that is not UTF-8, a numeral too long for `int()`, a
-variable index above 100,000 where the count is inferred, or an `--at`
-coefficient that is not a term-language constant, included; an
-error in an ideal file names its line of the file, and one in `--at` its
-column of the whole text), 4
-internal error (a failed consistency check such as a certificate that
-does not re-expand).
+Exit codes:
+
+- 0: success.
+- 1: domain error: partiality, a precondition violation, an `--order`
+  too large for an index, terms nested deeper than the recursion limit,
+  or a result with a number too long for `str()`; a tower of any height
+  answers.
+- 2: step budget exceeded: `--budget` counts every reduction step of the
+  command and every tower level `extend` builds.
+- 3: I/O or syntax error: a file that is not UTF-8, a numeral too long
+  for `int()`, a variable index above 100,000 where the count is
+  inferred, an `--at` coefficient that is not a term-language constant,
+  or a usage error, such as a `--vars` above 100,000, an integer option
+  that is not decimal, such as `--order 1_0`, or a `derive` with both or
+  neither of `--var` and `--action`.  An error in an ideal file names its
+  line of the file, one in `--at` its column of the whole text, and one
+  in an expression its own line and column.
+- 4: internal error: a failed consistency check, such as a certificate
+  that does not re-expand.
 
 Each subcommand returns its `--json` document and its text lines; `main`
 alone prints one of them, or maps an error to its exit code.  `--json`
 switches every subcommand but `demo` to machine-readable output.  Each
-text is parsed once, by `textio`; argparse enforces the option rules, and
-`eval_epoly` checks a point's coordinate count.  Every option but `-h`
-starts with `--`, so an argument that starts with one `-`, such as the
-printed value `-2*X1` or the point `-1/2`, is a value.
+text is parsed once, by `textio`; without `--vars`, an ideal command's
+variable count is the largest index its file or its expression names.
+Argparse enforces the option rules, and `eval_epoly` checks a point's
+coordinate count.  Every option but `-h` starts with `--`, so an
+argument that starts with one `-`, such as the printed value `-2*X1` or
+the point `-1/2`, is a value.
 """
 
 from __future__ import annotations
@@ -44,15 +50,19 @@ from .ideals import IdealHandle
 from .models import (SeriesPoint, TruncatedSeries, eval_epoly,
                      khovanskii_check, series_exp)
 from .rabin import nullstellensatz_pipeline
-from .textio import _MAX_VARS, _error, parse_epoly, parse_ideal_file
+from .textio import _MAX_VARS, _error, _parse_ideal_and, parse_epoly
 from .tower import (TowerIdeal, augmentation, augmentation_mod, dagger_check,
                     saturate_level_one)
 
 
-def _load_ideal(args):
-    gens = parse_ideal_file(args.ideal, args.vars)
-    nvars = gens[0].nvars if gens else (args.vars or 1)
-    return IdealHandle(gens, nvars=nvars, budget_limit=args.budget)
+def _load_ideal(args, text=None):
+    """The `--ideal` handle, and the value of `text` (None without one),
+    over `--vars` variables or else the largest index the file or `text`
+    names."""
+    nvars, gens, values = _parse_ideal_and(
+        args.ideal, [] if text is None else [text], args.vars)
+    ideal = IdealHandle(gens, nvars=nvars, budget_limit=args.budget)
+    return ideal, (values or [None])[0]
 
 
 def _point(args):
@@ -129,8 +139,8 @@ def cmd_khovanskii(args):
 
 
 def cmd_member(args):
-    ideal = _load_ideal(args)
-    result = ideal.membership(parse_epoly(args.expr, ideal.nvars))
+    ideal, p = _load_ideal(args, args.expr)
+    result = ideal.membership(p)
     cofactors = (None if result.cofactors is None
                  else [str(c) for c in result.cofactors])
     return ({"member": result.member, "cofactors": cofactors,
@@ -141,24 +151,23 @@ def cmd_member(args):
 
 
 def cmd_intersect(args):
-    cut = _load_ideal(args).intersect_subring(args.layer)
+    cut = _load_ideal(args)[0].intersect_subring(args.layer)
     gens = [str(g) for g in cut.gens]
     return {"generators": gens}, gens or ["0"]
 
 
 def cmd_aug(args):
-    ideal = _load_ideal(args) if args.ideal else None
-    u = parse_epoly(args.expr, args.vars if ideal is None else ideal.nvars)
-    if ideal is None:
-        image = augmentation(u, args.layer)
+    if args.ideal is None:
+        image = augmentation(parse_epoly(args.expr, args.vars), args.layer)
         return {"image": str(image)}, [str(image)]
+    ideal, u = _load_ideal(args, args.expr)
     image, member = augmentation_mod(u, ideal, args.layer)
     return ({"image": str(image), "in_kernel": member},
             [str(image), "in kernel: " + _true_false(member)])
 
 
 def cmd_dagger(args):
-    report = dagger_check(_load_ideal(args), args.layer)
+    report = dagger_check(_load_ideal(args)[0], args.layer)
     return ({"layer": report.layer,
              "holds_on_generators": report.holds,
              "witness": (None if report.witness is None
@@ -169,7 +178,7 @@ def cmd_dagger(args):
 
 
 def cmd_extend(args):
-    ideal = _load_ideal(args)
+    ideal, q = _load_ideal(args, args.query or None)
     tower = TowerIdeal(ideal)
     tower.extend(args.levels)
     doc = {
@@ -182,8 +191,7 @@ def cmd_extend(args):
     for layer, seeds in enumerate(doc["tracked"], tower.base_layer):
         lines.append(f"  layer {layer} tracked: "
                      f"{', '.join(seeds) or '(none)'}")
-    if args.query:
-        q = parse_epoly(args.query, ideal.nvars)
+    if q is not None:
         level = args.level if args.level is not None else tower.top_level
         doc.update(query=str(q), level=level,
                    member=tower.membership(q, level))
@@ -193,7 +201,7 @@ def cmd_extend(args):
 
 
 def cmd_saturate(args):
-    outcome = saturate_level_one(_load_ideal(args))
+    outcome = saturate_level_one(_load_ideal(args)[0])
     doc = {"status": outcome.status,
            "rounds": outcome.rounds,
            "generators": [str(g) for g in outcome.generators],
@@ -213,8 +221,7 @@ def cmd_saturate(args):
 
 
 def cmd_rabinowitsch(args):
-    ideal = _load_ideal(args)
-    g = parse_epoly(args.g, ideal.nvars)
+    ideal, g = _load_ideal(args, args.g)
     report = nullstellensatz_pipeline(ideal.gens, g, budget_limit=args.budget)
     return report.to_dict(), [report.describe()]
 

@@ -74,16 +74,20 @@ def jacobian(fs) -> EPoly:
                 f"system of {n} equations needs {n} variables, "
                 f"got arity {f.nvars}")
     rows = [[partial_derivative(f, j) for j in range(n)] for f in fs]
-    return _det(rows, list(range(n)), list(range(n)))
+    return _det(rows, tuple(range(n)), {})
 
 
-def _det(rows, ridx, cidx) -> EPoly:
-    n = len(ridx)
-    nvars = rows[0][0].nvars
-    if n == 1:
-        return rows[ridx[0]][cidx[0]]
-    row = rows[ridx[0]]
-    return EPoly.combination(
-        nvars, ((row[c] if k % 2 == 0 else -row[c],
-                 _det(rows, ridx[1:], cidx[:k] + cidx[k + 1:]))
-                for k, c in enumerate(cidx) if row[c]))
+def _det(rows, cols, minors) -> EPoly:
+    """The minor of the last len(cols) rows on the columns `cols`, by
+    Laplace expansion along its first row, skipping zero entries.  A
+    minor is fixed by its columns, so `minors` keeps each one computed:
+    at most n*2^n products for n rows, not n!."""
+    row = rows[len(rows) - len(cols)]
+    if len(cols) == 1:
+        return row[cols[0]]
+    if cols not in minors:
+        minors[cols] = EPoly.combination(
+            row[0].nvars, ((row[c] if k % 2 == 0 else -row[c],
+                            _det(rows, cols[:k] + cols[k + 1:], minors))
+                           for k, c in enumerate(cols) if row[c]))
+    return minors[cols]

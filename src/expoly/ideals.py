@@ -116,11 +116,11 @@ class LaurentPresentation:
         if self._shared:
             names.append("t")
             self.block = (*(self._uv[i][0] for i in sorted(self._shared)), t)
-        self.ring = PolyRing(names)
+        self.ring = PolyRing(names, MonomialOrder(len(names), self.block))
 
     def eliminating(self, level: int) -> "LaurentPresentation":
         """This presentation with one inverse shared by the directions
-        living strictly above `level`; its `block` is their variables."""
+        living strictly above `level`; its order eliminates their `block`."""
         return LaurentPresentation(
             self.nvars, self.directions, self._echelon, self._denom,
             self._hermite, [i for i, d in enumerate(self.directions)
@@ -312,7 +312,7 @@ class IdealHandle:
         if self._gb is None:
             pres = (present(self.gens, nvars=self.nvars) if self._cover
                     else self.presentation())
-            self._gb = pres, self._basis(pres, pres.ring)
+            self._gb = pres, self._basis(pres)
         return self._gb
 
     def groebner(self):
@@ -321,13 +321,11 @@ class IdealHandle:
         presentation's variables."""
         return self.lattice_basis()[1]
 
-    def _basis(self, pres: LaurentPresentation, ring: PolyRing):
+    def _basis(self, pres: LaurentPresentation):
         """Reduced Groebner basis of the generators plus the unit relations
-        of the presentation, computed in `ring` (the presentation's
-        variables under some monomial order)."""
-        encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
-        relations = [Poly(ring, rel.terms) for rel in pres.relations()]
-        return buchberger(encoded, ring, self._budget, relations)
+        of the presentation, in its ring and under its order."""
+        return buchberger([pres.encode(g) for g in self.gens], pres.ring,
+                          self._budget, pres.relations())
 
     def _presented(self, p: EPoly):
         """(presentation, basis, parts) with p = sum of E(c) * decode(q)
@@ -387,8 +385,7 @@ class IdealHandle:
             elim = pres.eliminating(level)
             gens = self.gens
             if elim.block:
-                gb = self._basis(elim, elim.ring.with_order(
-                    MonomialOrder(elim.ring.nvars, block=elim.block)))
+                gb = self._basis(elim)
                 kept = (e for e in gb.elements if not e.uses_vars(elim.block))
                 gens = tuple(g for g in map(elim.decode, kept) if g)
             self._cuts[level] = gens

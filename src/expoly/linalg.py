@@ -132,25 +132,24 @@ def solve_upper_integer(hermite, target):
 
     Returns None when the target is not in the lattice spanned by the rows.
     """
-    rows = [r[:] for r in hermite]
     target = list(target)
     n = len(target)
-    coeffs = [0] * len(rows)
+    coeffs = [0] * len(hermite)
     pivots = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(hermite):
         for col in range(n):
             if row[col]:
                 pivots.append((i, col))
                 break
     for i, col in pivots:
         value = target[col]
-        pivot = rows[i][col]
+        pivot = hermite[i][col]
         if value % pivot:
             return None
         q = value // pivot
         coeffs[i] = q
         if q:
-            target = [t - q * r for t, r in zip(target, rows[i])]
+            target = [t - q * r for t, r in zip(target, hermite[i])]
     if any(target):
         return None
     return coeffs

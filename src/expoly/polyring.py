@@ -116,9 +116,6 @@ class PolyRing:
         mono = tuple(1 if k == i else 0 for k in range(self.nvars))
         return Poly(self, {mono: 1})
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.names, order)
-
 
 class Poly:
     __slots__ = ("ring", "terms", "_lead")

@@ -230,10 +230,20 @@ def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
     """One exponential polynomial per line; blanks and '#' comments skipped.
     Each line is tokenized once, and a syntax error names its line of the
     file.  A byte-order mark that starts the file is skipped."""
+    return _parse_ideal_and(path, [], nvars)[1]
+
+
+def _parse_ideal_and(path: str, texts, nvars: int | None):
+    """(count, generators, values): the lines of the ideal file at `path`
+    as in `parse_ideal_file` and the values of `texts`, all over one
+    variable count, `nvars` or else the largest index any of them names.
+    Each text is tokenized once; an error in one names its own line and
+    column."""
     with open(path, "r", encoding="utf-8-sig") as handle:
         lines = [(number, ln) for number, ln
                  in enumerate(handle.read().splitlines(), 1)
                  if ln.strip() and not ln.strip().startswith("#")]
+    lines += [(None, text) for text in texts]
     scanned, out = [], []
     try:
         for number, ln in lines:
@@ -245,6 +255,9 @@ def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
         for number, ln, tokens in scanned:
             out.append(_parse_tokens(ln, tokens, nvars))
     except ParseError as exc:
-        # `number` is the line being read when the error was raised.
+        # `number` is the file line being read when the error was raised.
+        if number is None:
+            raise
         raise ParseError(exc.message, number, exc.col) from None
-    return out
+    split = len(lines) - len(texts)
+    return nvars, out[:split], out[split:]

@@ -326,6 +326,23 @@ def test_eval_series_exponential_in_one_pass():
     assert proc.stdout.startswith("1 + t + 3/2 t^2 + 5/3 t^3 + 41/24 t^4 + ")
 
 
+def test_dense_jacobian_keeps_each_minor():
+    """The Jacobian of f_i = X1 + ... + X12 + Xi^2 has no zero entry; each
+    minor is computed once, not once per path to it (12! products).  Its
+    determinant is prod(2*Xi) plus, for each i, the product without Xi."""
+    xs = "+".join(f"X{i}" for i in range(1, 13))
+    proc = subprocess.run([sys.executable, "-m", "expoly", "jacobian",
+                           *(f"{xs}+X{i}^2" for i in range(1, 13))],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    terms = proc.stdout.rstrip("\n").split(" + ")
+    assert terms[0] == "4096*" + xs.replace("+", "*")
+    assert len(terms) == 13
+    assert all(t.startswith("2048*") and t.count("*") == 11
+               for t in terms[1:])
+
+
 def test_exit_code_ideal_file_not_utf8(capsys, tmp_path):
     path = tmp_path / "I.txt"
     path.write_bytes(b"X1 - \xff\n")
@@ -474,6 +491,49 @@ def test_inferred_variable_count_has_the_vars_bound(capsys, ideal_file,
             assert out == ""
             assert err == (f"error: variable X{index} is above the bound of "
                            f"100,000 variables ({where})\n")
+
+
+# Each command that reads an ideal file and an expression, asked about X2
+# over the ideal <X1> of one variable.
+QUERY_OVER_X1 = [
+    ["member", "--ideal", "{path}", "X1*X2"],
+    ["aug", "X2", "--ideal", "{path}"],
+    ["extend", "--ideal", "{path}", "--query", "X2"],
+    ["rabinowitsch", "--ideal", "{path}", "--g", "X2"],
+]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("argv", QUERY_OVER_X1, ids=lambda argv: argv[0])
+def test_query_variables_count_toward_the_ideal(capsys, ideal_file, argv,
+                                                 json_flag):
+    """Without --vars the count is the largest index the file or the
+    expression names, so X2 is a variable over <X1>; the output is the
+    output with --vars 2."""
+    path = ideal_file("I.txt", "X1")
+    argv = [a.format(path=path) for a in argv] + json_flag
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert run(capsys, *argv, "--vars", "2") == (0, out, "")
+    if argv[0] == "member" and not json_flag:
+        assert out == "true\n  cofactor of X1: X2\n"
+
+
+def test_query_error_names_its_own_column(capsys, ideal_file):
+    """An error in the expression is placed in the expression, not at a
+    line of the ideal file, with the count inferred or given."""
+    path = ideal_file("I.txt", "# c", "", "X1")
+    for extra in ([], ["--vars", "2"]):
+        code, out, err = run(capsys, "member", "--ideal", path, "X2 + X1^",
+                             *extra)
+        assert (code, out) == (3, "")
+        assert err == ("error: expected 'num', found end of input "
+                       "(line 1, column 9)\n")
+    code, out, err = run(capsys, "member", "--ideal", path, "--vars", "1",
+                         "X1*X2")
+    assert (code, out) == (3, "")
+    assert err == ("error: variable X2 out of range for 1 variables "
+                   "(line 1, column 4)\n")
 
 
 # Each command with a value argument, and the value it is given: one that

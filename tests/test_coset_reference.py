@@ -47,7 +47,7 @@ class ReferenceHandle(IdealHandle):
         the presentation is refined)."""
         pres = self.presentation()
         if self._gb is None:
-            self._gb = self._basis(pres, pres.ring)
+            self._gb = self._basis(pres)
         return self._gb
 
     def _presented(self, p: EPoly):

@@ -11,7 +11,9 @@ generators must be equal, in the same order.  The edits: the earlier
 presentation methods sit on a subclass of `LaurentPresentation`, the
 earlier `_basis` and `intersect_subring` on a subclass of `IdealHandle`,
 `_refine` wraps each presentation in the subclass, and the branch for a
-level below 0, which no command reaches, is gone from both.
+level below 0, which no command reaches, is gone from both.  `_basis`'s
+ring defaults to the presentation's own, and the block order is a new
+`PolyRing` over the presentation's names.
 """
 
 import random
@@ -26,7 +28,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from expoly import EPoly, IMAG_UNIT, IdealHandle, present  # noqa: E402
 from expoly.errors import VariableCountError  # noqa: E402
 from expoly.ideals import LaurentPresentation  # noqa: E402
-from expoly.polyring import MonomialOrder, Poly, buchberger  # noqa: E402
+from expoly.polyring import (MonomialOrder, Poly, PolyRing,  # noqa: E402
+                             buchberger)
 
 from helpers import random_epoly  # noqa: E402
 
@@ -104,10 +107,11 @@ class ReferenceHandle(IdealHandle):
                                            pres._echelon, pres._denom,
                                            pres._hermite)
 
-    def _basis(self, pres: LaurentPresentation, ring):
+    def _basis(self, pres: LaurentPresentation, ring=None):
         """Reduced Groebner basis of the generators plus the unit relations
         of the presentation, computed in `ring` (the presentation's
-        variables under some monomial order)."""
+        variables under some monomial order; by default its own ring)."""
+        ring = ring or pres.ring
         encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
         relations = [Poly(ring, rel.terms) for rel in pres.relations()]
         return buchberger(encoded + relations, ring, self._budget)
@@ -119,8 +123,8 @@ class ReferenceHandle(IdealHandle):
             eliminated = pres.eliminated_var_indices(level)
             gens = self.gens
             if eliminated:
-                gb = self._basis(pres, pres.ring.with_order(
-                    MonomialOrder(pres.ring.nvars, block=tuple(eliminated))))
+                gb = self._basis(pres, PolyRing(pres.ring.names, MonomialOrder(
+                    pres.ring.nvars, block=tuple(eliminated))))
                 kept = (e for e in gb.elements if not e.uses_vars(eliminated))
                 gens = tuple(g for g in map(pres.decode, kept) if g)
             self._cuts[level] = gens

@@ -96,7 +96,7 @@ class TestGroebner:
             IdealHandle([P(t, 3) for t in ("E(X1)-X2-1", "E(X2)-X3-1",
                                            "X1*E(X3)-X2",
                                            "X1*X2*X3-E(X1+X2)")]),
-        ]] + [(fine, IdealHandle(gens)._basis(fine, fine.ring))]
+        ]] + [(fine, IdealHandle(gens)._basis(fine))]
         assert "1*v1^31 + -1*u1^29" in [
             str(e) for e in presented[-1][1].elements]
         for pres, gb in presented:
@@ -333,6 +333,34 @@ class TestIntersect:
         handle.presentation(also_cover=[(X * Fraction(1, 2)).exp()])
         assert handle.intersect_subring(0).gens == first.gens
         assert len(runs) == 2
+
+
+    def test_elimination_runs_in_the_presentations_ring(self, monkeypatch):
+        """The cut's Buchberger run gets the eliminating presentation's own
+        encodings and relations, in its ring, whose order is the block
+        elimination order: no copy into another ring."""
+        elims, runs = [], []
+        eliminating = LaurentPresentation.eliminating
+        buchberger = ideals.buchberger
+
+        def elim_spy(self, level):
+            elims.append(eliminating(self, level))
+            return elims[-1]
+
+        def spy(gens, ring, budget, relations):
+            runs.append((list(gens), ring, list(relations)))
+            return buchberger(gens, ring, budget, relations)
+
+        monkeypatch.setattr(LaurentPresentation, "eliminating", elim_spy)
+        monkeypatch.setattr(ideals, "buchberger", spy)
+        handle = IdealHandle([X.exp().exp() - 1, X.exp() - 1, X * X])
+        for level in (0, 1):
+            handle.intersect_subring(level)
+        assert len(elims) == len(runs) == 2
+        for elim, (gens, ring, relations) in zip(elims, runs):
+            assert elim.block and ring is elim.ring
+            assert elim.ring.order.block == elim.block
+            assert all(q.ring is elim.ring for q in gens + relations)
 
 
 class TestAugmentation:

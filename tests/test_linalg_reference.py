@@ -204,7 +204,9 @@ def test_solve_upper_integer_inverts_lattice_points(mat, data):
                            max_size=len(basis)), label="x")
     point = [sum(xi * row[j] for xi, row in zip(x, basis))
              for j in range(n)]
+    unchanged = [row[:] for row in basis]
     assert solve_upper_integer(basis, point) == x
+    assert basis == unchanged   # the HNF rows are read, never written
     # A perturbed target: None exactly when it is off the lattice.
     shift = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
                       label="shift")
