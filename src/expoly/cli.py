@@ -22,9 +22,9 @@ Exit codes:
 
 Each subcommand returns its `--json` document and its text lines; `main`
 alone prints one of them, or maps an error to its exit code.  `--json`
-switches every subcommand but `demo` to machine-readable output.  Each
-text is parsed once, by `textio`; without `--vars`, an ideal command's
-variable count is the largest index its file or its expression names.
+switches every subcommand to machine-readable output.  Each text is
+parsed once, by `textio`; without `--vars`, the variable count is the
+largest index the command's texts name, such as a file and its query.
 Argparse enforces the option rules, and `eval_epoly` checks a point's
 coordinate count.  Every option but `-h` starts with `--`, so an
 argument that starts with one `-`, such as the printed value `-2*X1` or
@@ -34,23 +34,18 @@ the point `-1/2`, is a value.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
-import random
 import re
 import sys
-from fractions import Fraction
 
 from .ediff import DerivationSpec, apply_derivation, jacobian, partial_derivative
-from .epoly import EPoly, ord_reduce
 from .errors import (DEFAULT_BUDGET, BudgetExceededError, ExpolyError,
                      InternalError, ParseError)
 from .ideals import IdealHandle
-from .models import (SeriesPoint, TruncatedSeries, eval_epoly,
-                     khovanskii_check, series_exp)
+from .models import SeriesPoint, eval_epoly, khovanskii_check
 from .rabin import nullstellensatz_pipeline
-from .textio import _MAX_VARS, _error, _parse_ideal_and, parse_epoly
+from .textio import _MAX_VARS, _error, _parse_all, parse_epoly
 from .tower import (TowerIdeal, augmentation, augmentation_mod, dagger_check,
                     saturate_level_one)
 
@@ -59,7 +54,7 @@ def _load_ideal(args, text=None):
     """The `--ideal` handle, and the value of `text` (None without one),
     over `--vars` variables or else the largest index the file or `text`
     names."""
-    nvars, gens, values = _parse_ideal_and(
+    nvars, gens, values = _parse_all(
         args.ideal, [] if text is None else [text], args.vars)
     ideal = IdealHandle(gens, nvars=nvars, budget_limit=args.budget)
     return ideal, (values or [None])[0]
@@ -118,9 +113,9 @@ def cmd_eval(args):
 
 
 def cmd_derive(args):
-    p = parse_epoly(args.expr, args.vars)
-    if args.action:
-        actions = [parse_epoly(t, p.nvars) for t in args.action]
+    p, *actions = _parse_all(None, [args.expr, *(args.action or ())],
+                             args.vars)[2]
+    if actions:
         result = apply_derivation(DerivationSpec(actions), p)
     else:
         result = partial_derivative(p, args.var - 1)
@@ -178,7 +173,7 @@ def cmd_dagger(args):
 
 
 def cmd_extend(args):
-    ideal, q = _load_ideal(args, args.query or None)
+    ideal, q = _load_ideal(args, args.query)
     tower = TowerIdeal(ideal)
     tower.extend(args.levels)
     doc = {
@@ -226,119 +221,6 @@ def cmd_rabinowitsch(args):
     return report.to_dict(), [report.describe()]
 
 
-def cmd_demo(args):
-    lines = []
-    out = lines.append
-    rng = random.Random(0)
-    x = EPoly.var(1, 0)
-    x1, x2 = EPoly.var(2, 0), EPoly.var(2, 1)
-
-    out("== canonical arithmetic and the exponential law ==")
-    out(f"(1+E(X1))*(1-E(X1)) = {(1 + x.exp()) * (1 - x.exp())}")
-    out(f"E(X1+X2) == E(X1)*E(X2): {(x1 + x2).exp() == x1.exp() * x2.exp()}")
-
-    out("")
-    out("== ordinal complexity and reduction ==")
-    for text in ("X1^2 + 1", "X1 + 2*E(X1)", "E(X1) - E(2*X1)",
-                 "E(E(X1)) + E(X1)"):
-        q = parse_epoly(text)
-        out(f"ord({text}) = {q.complexity()}")
-    q = parse_epoly("E(E(X1)) + E(X1)")
-    chain = [str(q.complexity())]
-    while not q.is_zero() and q.layer_component(0).is_zero():
-        _, q = ord_reduce(q)
-        chain.append(str(q.complexity()))
-    out("reduction chain: " + " > ".join(chain))
-
-    out("")
-    out("== derivations ==")
-    spec = DerivationSpec([x1, EPoly.const(2, 1)])
-    q = x1 * x2.exp()
-    out(f"D(X1*E(X2)) with D(X1)=X1, D(X2)=1: {apply_derivation(spec, q)}")
-
-    out("")
-    out("== series model ==")
-    t = TruncatedSeries.t(6)
-    out(f"exp(t) mod t^6 = {series_exp(t)}")
-    point = SeriesPoint([t])
-    out(f"E(X1)-1 at X1=t: {eval_epoly(x.exp() - 1, point)}")
-    out(f"khovanskii (E(X1)-1) at 0: "
-        f"{khovanskii_check([x.exp() - 1], SeriesPoint([[0]], order=6))}")
-
-    out("")
-    out("== ideal membership with certificates ==")
-    half = x * Fraction(1, 2)
-    ideal = IdealHandle([half.exp() - 1])
-    res = ideal.membership(x.exp() - 1)
-    out(f"E(X1)-1 in <E(X1/2)-1>: {res.member}, "
-        f"cofactor {res.cofactors[0]}")
-
-    out("")
-    out("== augmentation ==")
-    out(f"aug(3*E(X1) - 2*E(X1^2)) = "
-        f"{augmentation(3 * x.exp() - 2 * (x * x).exp(), 1)}")
-    out(f"aug(E(X1) - 1) = {augmentation(x.exp() - 1, 1)}")
-
-    out("")
-    out("== tower over <X1> ==")
-    tower = TowerIdeal(IdealHandle([x])).extend(2)
-    for text, level in (("E(X1) - 1", 1), ("E(X1^2) - 1", 1),
-                        ("E(X1)", 1), ("1", 2)):
-        q = parse_epoly(text)
-        out(f"{text} at level {level}: "
-            f"{_true_false(tower.membership(q, level))}")
-
-    out("")
-    out("== saturation: success and failure certificate ==")
-    good = saturate_level_one(IdealHandle([x, x.exp() - 1]))
-    out(f"<X1, E(X1)-1>: {good.status}, "
-        f"exp-compatibility {good.dagger.describe()}")
-    bad = saturate_level_one(IdealHandle([x, x.exp() - 2]))
-    out(f"<X1, E(X1)-2>: {bad.status}")
-    for c, g in zip(bad.certificate, bad.generators):
-        if not c.is_zero():
-            out(f"  1 += ({c}) * ({g})")
-
-    out("")
-    out("== the obstruction from the complex exponential ==")
-    out("take f = E(X1) - 2 and g = E(i*X1) - 1: the ideal they generate")
-    out("is proper, yet no common zero exists over the complex exponential.")
-    gi = IdealHandle([parse_epoly("E(X1) - 2"), parse_epoly("E(i*X1) - 1")])
-    out(f"1 member of <f, g>: {gi.membership(EPoly.const(1, 1)).member}")
-    for val in (math.log(2), 2 * math.pi):
-        fval, gval = cmath.exp(val) - 2, cmath.exp(1j * val) - 1
-        out(f"  at x={val:.6f}: |f| = {abs(fval):.6f}, |g| = {abs(gval):.6f}")
-    report = nullstellensatz_pipeline(
-        [parse_epoly("E(X1) - 1"), parse_epoly("E(i*X1) - 1")],
-        EPoly.const(1, 1))
-    out(f"certificate for g=1: "
-        f"{'found' if report.found else 'not found within the slice'}")
-
-    out("")
-    out("== rabinowitsch certificate ==")
-    report = nullstellensatz_pipeline([x], x)
-    out(report.describe())
-
-    out("")
-    out("== seeded property spot-checks ==")
-    failures = 0
-    for _ in range(25):
-        a = _random_zero_const(rng, 2)
-        b = _random_zero_const(rng, 2)
-        if (a + b).exp() != a.exp() * b.exp():
-            failures += 1
-    out(f"exponential law on 25 random pairs: {25 - failures}/25 ok")
-    return None, lines
-
-
-def _random_zero_const(rng, nvars):
-    """One to three random X-monomials with the constant one left out."""
-    draws = [(tuple(rng.randint(0, 2) for _ in range(nvars)),
-              Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-             for _ in range(rng.randint(1, 3))]
-    return EPoly(nvars, (((mono, None), c) for mono, c in draws if any(mono)))
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         """Every option but `-h` starts with `--`, so an argument that starts
@@ -353,10 +235,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
-        """Arguments a subcommand does not know are its own usage error."""
+        """Arguments a subcommand does not know, and an `extend --level`
+        with no `--query` to read it, are its own usage error."""
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if (getattr(namespace, "level", None) is not None
+                and namespace.query is None):
+            self.error("--level needs --query")
         return namespace, extras
 
 
@@ -492,9 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, budget=True)
     p.set_defaults(func=cmd_rabinowitsch)
 
-    p = sub.add_parser("demo", help="deterministic worked examples")
-    p.set_defaults(func=cmd_demo)
-
     return top
 
 
@@ -511,7 +394,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, lines = args.func(args)
-        if getattr(args, "json", False):
+        if args.json:
             lines = [json.dumps(doc)]
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")

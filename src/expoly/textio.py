@@ -230,19 +230,21 @@ def parse_ideal_file(path: str, nvars: int | None = None) -> list[EPoly]:
     """One exponential polynomial per line; blanks and '#' comments skipped.
     Each line is tokenized once, and a syntax error names its line of the
     file.  A byte-order mark that starts the file is skipped."""
-    return _parse_ideal_and(path, [], nvars)[1]
+    return _parse_all(path, [], nvars)[1]
 
 
-def _parse_ideal_and(path: str, texts, nvars: int | None):
+def _parse_all(path: str | None, texts, nvars: int | None):
     """(count, generators, values): the lines of the ideal file at `path`
-    as in `parse_ideal_file` and the values of `texts`, all over one
-    variable count, `nvars` or else the largest index any of them names.
-    Each text is tokenized once; an error in one names its own line and
-    column."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        lines = [(number, ln) for number, ln
-                 in enumerate(handle.read().splitlines(), 1)
-                 if ln.strip() and not ln.strip().startswith("#")]
+    as in `parse_ideal_file` (none for None) and the values of `texts`,
+    all over one variable count, `nvars` or else the largest index any of
+    them names.  Each text is tokenized once; an error in one names its
+    own line and column."""
+    lines = []
+    if path is not None:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            lines = [(number, ln) for number, ln
+                     in enumerate(handle.read().splitlines(), 1)
+                     if ln.strip() and not ln.strip().startswith("#")]
     lines += [(None, text) for text in texts]
     scanned, out = [], []
     try:

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -255,6 +254,19 @@ def _src_env():
     return env
 
 
+def test_cli_loads_no_float_or_random_module():
+    """The CLI does exact arithmetic only: an interpreter started without
+    `site`, which may import these modules itself, loads neither `cmath`
+    nor `random` when it imports `expoly.cli`."""
+    probe = ("import sys, expoly.cli; "
+             "print(sorted({'cmath', 'random'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_member_large_power_parses_in_one_step(ideal_file):
     """X1^k adds k to an exponent; it is not k products of X1."""
     path = ideal_file("I.txt", "X1")
@@ -494,12 +506,14 @@ def test_inferred_variable_count_has_the_vars_bound(capsys, ideal_file,
 
 
 # Each command that reads an ideal file and an expression, asked about X2
-# over the ideal <X1> of one variable.
+# over the ideal <X1> of one variable, and `derive` with the action X2 on
+# the expression X1.
 QUERY_OVER_X1 = [
     ["member", "--ideal", "{path}", "X1*X2"],
     ["aug", "X2", "--ideal", "{path}"],
     ["extend", "--ideal", "{path}", "--query", "X2"],
     ["rabinowitsch", "--ideal", "{path}", "--g", "X2"],
+    ["derive", "X1", "--action", "X2", "--action", "1"],
 ]
 
 
@@ -508,7 +522,8 @@ QUERY_OVER_X1 = [
 def test_query_variables_count_toward_the_ideal(capsys, ideal_file, argv,
                                                  json_flag):
     """Without --vars the count is the largest index the file or the
-    expression names, so X2 is a variable over <X1>; the output is the
+    expression names, so X2 is a variable over <X1>; derive's count is
+    the largest its expression or any action names.  The output is the
     output with --vars 2."""
     path = ideal_file("I.txt", "X1")
     argv = [a.format(path=path) for a in argv] + json_flag
@@ -517,6 +532,18 @@ def test_query_variables_count_toward_the_ideal(capsys, ideal_file, argv,
     assert run(capsys, *argv, "--vars", "2") == (0, out, "")
     if argv[0] == "member" and not json_flag:
         assert out == "true\n  cofactor of X1: X2\n"
+    if argv[0] == "derive":
+        assert out == ('{"result": "X2"}\n' if json_flag else "X2\n")
+
+
+def test_empty_query_is_a_syntax_error(capsys, ideal_file):
+    """`extend --query ""` is the empty text, not a missing query, as the
+    empty expression of `member` is."""
+    path = ideal_file("I.txt", "X1")
+    for argv in (["extend", "--query", ""], ["member", ""]):
+        code, out, err = run(capsys, *argv, "--ideal", path)
+        assert (code, out) == (3, "")
+        assert err == "error: unexpected end of input (line 1, column 1)\n"
 
 
 def test_query_error_names_its_own_column(capsys, ideal_file):
@@ -693,20 +720,25 @@ def test_budget_bounds_the_whole_command(capsys, ideal_file, steps, argv):
     ["eval", "--budget", "5", "E(X1)", "--at", "0"],
     ["jacobian", "--vars", "1", "E(X1)-1"],
     ["khovanskii", "--budget", "5", "E(X1)-1", "--at", "0"],
-    ["demo", "--json"],
-    ["demo", "--vars", "1"],
-    ["demo", "--seed", "1"],
     pytest.param(["extend", "--ideal", "I.txt", "--out", "F"],
                  id="extend --out"),
+    pytest.param(["extend", "--ideal", "I.txt", "--level", "1"],
+                 id="extend --level"),
     pytest.param(["derive", "X1"], id="derive no rule"),
     pytest.param(["derive", "X1", "--var", "1", "--action", "1"],
                  id="derive both rules"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_unread_option_is_a_usage_error(capsys, argv):
-    """An option the subcommand does not take, or a `derive` with both or
-    neither of `--var` and `--action`, is a usage error."""
+    """An option the subcommand does not take, an `extend --level` with no
+    `--query` to read it, or a `derive` with both or neither of `--var`
+    and `--action`, is a usage error."""
     code, err = _usage_error(capsys, *argv)
     assert code == 3 and err.startswith(f"usage: expoly {argv[0]} ")
+
+
+def test_demo_is_not_a_subcommand(capsys):
+    code, err = _usage_error(capsys, "demo")
+    assert code == 3 and "invalid choice: 'demo'" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -744,26 +776,6 @@ def test_model_and_tolerance_are_not_options(capsys, command, option):
                              *option)
     assert code == 3 and err.startswith(f"usage: expoly {command} ")
     assert f"unrecognized arguments: {' '.join(option)}" in err
-
-
-# sha256 of `expoly demo` at seed 0 (57 lines): every value, derivation,
-# certificate and verdict it prints, exactly.
-DEMO_SHA256 = ("f4706c6ed988908bca60e9da31c72b85"
-               "e255ec4ae16586561d1e64512556392e")
-
-
-def test_demo_output_keeps_its_digest(capsys):
-    code, out, _ = run(capsys, "demo")
-    assert code == 0 and len(out.splitlines()) == 57
-    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_SHA256
-
-
-def test_demo_deterministic(capsys):
-    code1, out1, _ = run(capsys, "demo")
-    code2, out2, _ = run(capsys, "demo")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert "failure certificate" in out1 or "unit" in out1
 
 
 FORCED_MISMATCH = r"""

@@ -2,8 +2,7 @@
 
 Each case runs `cli.main` in process on fixed inputs and compares the
 sha256 of what it printed with the recorded value.  A case must exit 0
-and print nothing to stderr.  `demo` has its own digest in
-`tests/test_cli.py`.
+and print nothing to stderr.
 """
 
 import hashlib
