@@ -5,8 +5,9 @@ Exit codes:
 - 0: success.
 - 1: domain error: partiality, a precondition violation, an `--order`
   too large for an index, terms nested deeper than the recursion limit,
-  or a result with a number too long for `str()`; a tower of any height
-  answers.
+  a monomial exponent or block degree of 2^63 or more in a Groebner
+  computation, or a result with a number too long for `str()`; a tower of
+  any height answers.
 - 2: step budget exceeded: `--budget` counts every reduction step of the
   command and every tower level `extend` builds.
 - 3: I/O or syntax error: a file that is not UTF-8, a numeral too long
@@ -24,7 +25,8 @@ Each subcommand returns its `--json` document and its text lines; `main`
 alone prints one of them, or maps an error to its exit code.  `--json`
 switches every subcommand to machine-readable output.  Each text is
 parsed once, by `textio`; without `--vars`, the variable count is the
-largest index the command's texts name, such as a file and its query.
+largest index the command's texts name, such as a file and its query, or
+`derive`'s expression, actions and `--var`.
 Argparse enforces the option rules, and `eval_epoly` checks a point's
 coordinate count.  Every option but `-h` starts with `--`, so an
 argument that starts with one `-`, such as the printed value `-2*X1` or
@@ -113,9 +115,12 @@ def cmd_eval(args):
 
 
 def cmd_derive(args):
-    p, *actions = _parse_all(None, [args.expr, *(args.action or ())],
-                             args.vars)[2]
-    if actions:
+    # Without --vars, the variable `--var` names counts like an action.
+    texts = [args.expr, *(args.action or ())]
+    if args.var is not None and args.vars is None:
+        texts.append(f"X{args.var}")
+    p, *actions = _parse_all(None, texts, args.vars)[2]
+    if args.action:
         result = apply_derivation(DerivationSpec(actions), p)
     else:
         result = partial_derivative(p, args.var - 1)

@@ -159,7 +159,7 @@ class LaurentPresentation:
             for i, ((u, v), k) in enumerate(zip(self._uv, coords)):
                 inverse = t_power if i in shared else (-k if k < 0 else 0)
                 full[u], full[v] = k + inverse, inverse
-            pairs.append((tuple(full), coeff))
+            pairs.append((self.ring.pack(full), coeff))
         return Poly(self.ring, pairs)
 
     def covers(self, p: EPoly) -> bool:
@@ -188,7 +188,8 @@ class LaurentPresentation:
         columns = [(u, v, d.epoly.terms)
                    for (u, v), d in zip(self._uv, self.directions)]
         pairs = []
-        for mono, coeff in q.terms.items():
+        for packed, coeff in q.terms.items():
+            mono = self.ring.unpack(packed)
             net = [(mono[u] - mono[v], terms) for u, v, terms in columns]
             exponent = None
             if shift or any(k for k, _ in net):

@@ -54,7 +54,8 @@ def one_certificate(hs, g: EPoly, budget: Budget | None = None
     ring = PolyRing(pres.ring.names + ("Y",))
 
     def with_y(q: Poly) -> Poly:
-        return Poly(ring, {mono + (0,): c for mono, c in q.terms.items()})
+        return Poly(ring, {ring.pack(pres.ring.unpack(m) + (0,)): c
+                           for m, c in q.terms.items()})
 
     one_minus_yg = (ring.const(1)
                     - ring.var(ring.nvars - 1) * with_y(pres.encode(g)))
@@ -80,8 +81,9 @@ def _decode_with_y(q: Poly, pres) -> _YGraded:
     """Split a polynomial in the presentation's variables and a trailing Y
     by Y-degree and decode each slice; slices decoding to zero are dropped."""
     slices: dict[int, list] = {}
-    for mono, coeff in q.terms.items():
-        slices.setdefault(mono[-1], []).append((mono[:-1], coeff))
+    for m, coeff in q.terms.items():
+        *mono, degree = q.ring.unpack(m)
+        slices.setdefault(degree, []).append((pres.ring.pack(mono), coeff))
     return _YGraded(accumulate((deg, pres.decode(Poly(pres.ring, pairs)))
                                for deg, pairs in slices.items()))
 

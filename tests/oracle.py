@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 
 from expoly.linalg import RationalEchelon
-from expoly.polyring import Poly, mono_mul
+from expoly.polyring import Poly
 
 
 def monomials_up_to(nvars: int, cap: int):
@@ -32,10 +32,10 @@ def oracle_member(gens, p: Poly, cap: int) -> bool:
     for g in gens:
         if g.is_zero():
             continue
-        for mono in monomials_up_to(ring.nvars, cap):
+        for mono in map(ring.pack, monomials_up_to(ring.nvars, cap)):
             column = {}
             for gm, gc in g.terms.items():
-                key = mono_mul(gm, mono)
+                key = gm + mono
                 column[key] = column.get(key, 0) + gc
             column = {k: v for k, v in column.items() if v != 0}
             if column:

@@ -69,6 +69,7 @@ def test_epoly_full_cancellation_is_zero(pairs):
 @given(pair_lists(monos))
 def test_poly_constructor_is_sum_of_terms(pairs):
     ring = PolyRing(["a", "b"])
+    pairs = [(ring.pack(m), c) for m, c in pairs]
     total = ring.zero()
     for pair in pairs:
         total = total + Poly(ring, [pair])

@@ -278,6 +278,43 @@ def test_member_large_power_parses_in_one_step(ideal_file):
     assert proc.stdout.splitlines()[0] == "true"
 
 
+def test_exponents_past_a_machine_word_stay_exact(capsys, ideal_file):
+    """Exponents of 10^12 divide exactly: a packed field holds any exponent
+    below 2^63."""
+    path = ideal_file("I.txt", "X1^1000000000000 - 1")
+    assert run(capsys, "member", "--ideal", path, "X1^3000000000000 - 1") == (
+        0, "true\n  cofactor of X1^1000000000000 - 1: X1^2000000000000 "
+        "+ X1^1000000000000 + 1\n", "")
+
+
+# A monomial past the packed capacity (an exponent or a block degree of
+# 2^63 or more) in an ideal file, in a query, and only as the lcm of two
+# leading monomials, 2^62 in each of X1 and X2, that an S-polynomial forms.
+CAPACITY_CASES = {
+    "ideal file": (["X1^9223372036854775808"], "X1"),
+    "query": (["X1"], "X1^4611686018427387904*X2^4611686018427387904"),
+    "S-polynomial": (["X1^4611686018427387904*X2 + 1",
+                      "X1*X2^4611686018427387904 + 1"], "X1"),
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("case", CAPACITY_CASES.values(),
+                         ids=list(CAPACITY_CASES))
+def test_monomial_past_the_capacity_exits_1(ideal_file, case, optimize):
+    """The guard bits catch it, also with assertions compiled out: one
+    error line and exit 1, never a verdict."""
+    lines, query = case
+    path = ideal_file("I.txt", *lines)
+    proc = subprocess.run([sys.executable, *optimize, "-m", "expoly",
+                           "member", "--ideal", path, query],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: a monomial exponent or block degree "
+                           "reached the capacity of 2^63\n")
+
+
 def test_many_variables_stay_small(ideal_file):
     """Memory stays near linear in --vars: 100,000 variables run in well
     under 150 MB.  ru_maxrss keeps the spawning process's high-water mark
@@ -506,25 +543,27 @@ def test_inferred_variable_count_has_the_vars_bound(capsys, ideal_file,
 
 
 # Each command that reads an ideal file and an expression, asked about X2
-# over the ideal <X1> of one variable, and `derive` with the action X2 on
-# the expression X1.
+# over the ideal <X1> of one variable, `derive` with the action X2 on the
+# expression X1, and `derive` of E(X1) by X2.
 QUERY_OVER_X1 = [
     ["member", "--ideal", "{path}", "X1*X2"],
     ["aug", "X2", "--ideal", "{path}"],
     ["extend", "--ideal", "{path}", "--query", "X2"],
     ["rabinowitsch", "--ideal", "{path}", "--g", "X2"],
     ["derive", "X1", "--action", "X2", "--action", "1"],
+    ["derive", "E(X1)", "--var", "2"],
 ]
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-@pytest.mark.parametrize("argv", QUERY_OVER_X1, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", QUERY_OVER_X1, ids=lambda argv: (
+    "derive-var" if "--var" in argv else argv[0]))
 def test_query_variables_count_toward_the_ideal(capsys, ideal_file, argv,
                                                  json_flag):
     """Without --vars the count is the largest index the file or the
     expression names, so X2 is a variable over <X1>; derive's count is
-    the largest its expression or any action names.  The output is the
-    output with --vars 2."""
+    the largest its expression, any action or its --var names.  The
+    output is the output with --vars 2."""
     path = ideal_file("I.txt", "X1")
     argv = [a.format(path=path) for a in argv] + json_flag
     code, out, err = run(capsys, *argv)
@@ -532,8 +571,10 @@ def test_query_variables_count_toward_the_ideal(capsys, ideal_file, argv,
     assert run(capsys, *argv, "--vars", "2") == (0, out, "")
     if argv[0] == "member" and not json_flag:
         assert out == "true\n  cofactor of X1: X2\n"
-    if argv[0] == "derive":
+    if argv[0] == "derive" and "--action" in argv:
         assert out == ('{"result": "X2"}\n' if json_flag else "X2\n")
+    if argv[0] == "derive" and "--var" in argv:
+        assert out == ('{"result": "0"}\n' if json_flag else "0\n")
 
 
 def test_empty_query_is_a_syntax_error(capsys, ideal_file):
@@ -651,7 +692,9 @@ def test_exit_code_variable_index_below_one(capsys, index):
 
 
 def test_variable_index_out_of_range_is_reported_as_typed(capsys):
-    code, out, err = run(capsys, "derive", "X1", "--var", "5")
+    """With the count given, a `--var` above it is a domain error; without
+    --vars, `--var` counts toward the inferred count."""
+    code, out, err = run(capsys, "derive", "X1", "--var", "5", "--vars", "1")
     assert code == 1 and out == ""
     assert err == "error: variable X5 out of range for 1 variables\n"
 

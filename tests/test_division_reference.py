@@ -2,11 +2,13 @@
 
 The functions below are the earlier definitions of the kernel, kept
 verbatim as the reference: `reduce_full` scanning its work dict with `max`,
-the nested-tuple order key, and the generator-based monomial helpers.  The
-only edit is that the reference division reads the nested key through
-`ref_key` instead of `MonomialOrder.key`.  The heap-ordered division
-must return the same quotients and remainder and spend the same number of
-steps, and the flat order key must sort monomials exactly as the nested
+the nested-tuple order key, and the generator-based monomial helpers on
+exponent tuples.  The only edit is that the reference division reads the
+nested key through `ref_key` instead of `MonomialOrder.key`.  It divides
+exponent-tuple views of the packed polynomials (`TupleView`).  The
+heap-ordered division on packed monomials must return the same quotients
+and remainder, after `PolyRing.unpack`, and spend the same number of
+steps, and the packed order key must sort monomials exactly as the nested
 one does.
 """
 
@@ -18,7 +20,6 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from expoly import polyring  # noqa: E402
 from expoly.errors import Budget  # noqa: E402
 from expoly.polyring import (MonomialOrder, Poly, PolyRing,  # noqa: E402
                              reduce_full)
@@ -88,6 +89,23 @@ def ref_reduce_full(p: Poly, reducers, budget: Budget):
     return [Poly(ring, q) for q in quotients], Poly(ring, remainder)
 
 
+class TupleView:
+    """A packed polynomial seen with exponent-tuple monomials, as the
+    reference division reads it."""
+
+    def __init__(self, p: Poly):
+        self.ring = p.ring
+        self.terms = {p.ring.unpack(m): c for m, c in p.terms.items()}
+
+    def lead(self):
+        m = max(self.terms, key=partial(ref_key, self.ring.order))
+        return m, self.terms[m]
+
+
+def unpacked(p: Poly) -> dict:
+    return {p.ring.unpack(m): c for m, c in p.terms.items()}
+
+
 # -- strategies -----------------------------------------------------------
 
 def _rationals():
@@ -111,7 +129,7 @@ def division_problems(draw):
     coeffs = _rationals().filter(bool)
     if gaussian_field:
         coeffs = st.builds(gaussian, _rationals(), _rationals()).filter(bool)
-    monos = st.tuples(*[st.integers(0, 3)] * n)
+    monos = st.tuples(*[st.integers(0, 3)] * n).map(ring.pack)
     polys = st.dictionaries(monos, coeffs, min_size=1, max_size=6).map(
         partial(Poly, ring)).filter(bool)
     reducers = draw(st.lists(polys, min_size=1, max_size=4))
@@ -140,16 +158,18 @@ def test_division_matches_reference(problem):
     # whose monomials fail to fall into an error instead of a hang.
     budget, ref_budget = Budget(2_000), Budget(2_000)
     quotients, rem = reduce_full(p, reducers, budget)
-    ref_quotients, ref_rem = ref_reduce_full(p, reducers, ref_budget)
-    assert [q.terms for q in quotients] == [q.terms for q in ref_quotients]
-    assert rem.terms == ref_rem.terms
+    ref_quotients, ref_rem = ref_reduce_full(
+        TupleView(p), [TupleView(r) for r in reducers], ref_budget)
+    assert [unpacked(q) for q in quotients] == [q.terms
+                                                for q in ref_quotients]
+    assert unpacked(rem) == ref_rem.terms
     assert budget.used == ref_budget.used
     total = rem
     for q, r in zip(quotients, reducers):
         total = total + q * r
     assert total == p
-    leads = [r.lead()[0] for r in reducers]
-    assert not any(mono_divides(lm, m) for m in rem.terms for lm in leads)
+    leads = [TupleView(r).lead()[0] for r in reducers]
+    assert not any(mono_divides(lm, m) for m in unpacked(rem) for lm in leads)
 
 
 @PROPERTY
@@ -158,16 +178,6 @@ def test_division_matches_reference(problem):
     st.lists(st.tuples(*[st.integers(0, 4)] * order.nvars), max_size=25))))
 def test_flat_key_orders_as_nested_key(case):
     order, monos = case
-    assert (sorted(monos, key=order.key)
+    ring = PolyRing([f"x{i}" for i in range(order.nvars)], order)
+    assert (sorted(monos, key=lambda m: order.key(ring.pack(m)))
             == sorted(monos, key=partial(ref_key, order)))
-
-
-@PROPERTY
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    *[st.tuples(*[st.integers(0, 4)] * n)] * 2)))
-def test_monomial_helpers_match_reference(pair):
-    a, b = pair
-    assert polyring.mono_mul(a, b) == mono_mul(a, b)
-    assert polyring.mono_div(a, b) == mono_div(a, b)
-    assert polyring.mono_lcm(a, b) == mono_lcm(a, b)
-    assert polyring.mono_divides(a, b) == mono_divides(a, b)

@@ -13,7 +13,10 @@ earlier `_basis` and `intersect_subring` on a subclass of `IdealHandle`,
 `_refine` wraps each presentation in the subclass, and the branch for a
 level below 0, which no command reaches, is gone from both.  `_basis`'s
 ring defaults to the presentation's own, and the block order is a new
-`PolyRing` over the presentation's names.
+`PolyRing` over the presentation's names.  Monomials are packed ints, so
+`encode` packs its exponent tuples, `shifted_terms` unpacks with the
+polynomial's own ring, and `_basis` repacks the encoded polynomials into
+its ring's layout.
 """
 
 import random
@@ -69,7 +72,7 @@ class ReferencePresentation(LaurentPresentation):
                     full[ui] = k
                 elif k < 0:
                     full[vi] = -k
-            pairs.append((tuple(full), coeff))
+            pairs.append((self.ring.pack(full), coeff))
         return Poly(self.ring, pairs)
 
     def relations(self) -> list[Poly]:
@@ -89,7 +92,8 @@ class ReferencePresentation(LaurentPresentation):
         """The terms of E(shift) * decode(q), as (key, coeff) pairs."""
         uv = [self.uv_index(i) for i in range(len(self.directions))]
         pairs = []
-        for mono, coeff in q.terms.items():
+        for packed, coeff in q.terms.items():
+            mono = q.ring.unpack(packed)
             exponent = EPoly.combination(self.nvars, chain(
                 ((shift, 1),), ((d.epoly, mono[ui] - mono[vi])
                                 for d, (ui, vi) in zip(self.directions, uv))))
@@ -112,8 +116,12 @@ class ReferenceHandle(IdealHandle):
         of the presentation, computed in `ring` (the presentation's
         variables under some monomial order; by default its own ring)."""
         ring = ring or pres.ring
-        encoded = [Poly(ring, pres.encode(g).terms) for g in self.gens]
-        relations = [Poly(ring, rel.terms) for rel in pres.relations()]
+
+        def repacked(p):
+            return Poly(ring, {ring.pack(pres.ring.unpack(m)): c
+                               for m, c in p.terms.items()})
+        encoded = [repacked(pres.encode(g)) for g in self.gens]
+        relations = [repacked(rel) for rel in pres.relations()]
         return buchberger(encoded + relations, ring, self._budget)
 
     def intersect_subring(self, level: int) -> "IdealHandle":

@@ -33,14 +33,16 @@ def _sympy_scalar(c):
 
 
 def _ours(gb):
-    return {frozenset((m, _sympy_scalar(c)) for m, c in e.terms.items())
+    return {frozenset((gb.ring.unpack(m), _sympy_scalar(c))
+                      for m, c in e.terms.items())
             for e in gb.elements}
 
 
 def _theirs(gens, ring):
     symbols = sympy.symbols(ring.names)
     exprs = [sympy.Add(*(_sympy_scalar(c)
-                         * sympy.Mul(*(s ** e for s, e in zip(symbols, m)))
+                         * sympy.Mul(*(s ** e for s, e
+                                       in zip(symbols, ring.unpack(m))))
                          for m, c in g.terms.items()))
              for g in gens]
     out = set()
@@ -64,7 +66,8 @@ def _check(gens, ring):
 def _ring_polys(names, term_dicts):
     """Integer polynomials written as {exponent tuple: coefficient}."""
     ring = PolyRing(names)
-    return ring, [Poly(ring, {m: Fraction(c) for m, c in t.items()})
+    return ring, [Poly(ring, {ring.pack(m): Fraction(c)
+                              for m, c in t.items()})
                   for t in term_dicts]
 
 
@@ -153,7 +156,7 @@ def test_random_binomial_ideals():
     ring = PolyRing(("x", "y"))
     rng = random.Random(2024)
     for _ in range(40):
-        gens = [Poly(ring, [((rng.randint(0, 3), rng.randint(0, 3)),
+        gens = [Poly(ring, [(ring.pack((rng.randint(0, 3), rng.randint(0, 3))),
                              Fraction(rng.choice((-1, 1))))
                             for _ in range(2)])
                 for _ in range(rng.randint(2, 3))]

@@ -128,7 +128,7 @@ def ideal_problems(draw):
     (members) and random polynomials (mostly not members)."""
     n = draw(st.integers(1, 3))
     ring = PolyRing([f"x{i}" for i in range(n)])
-    monos = st.tuples(*[st.integers(0, 2)] * n)
+    monos = st.tuples(*[st.integers(0, 2)] * n).map(ring.pack)
     polys = st.dictionaries(monos, _SCALARS.filter(bool), min_size=1,
                             max_size=3).map(partial(Poly, ring))
     gens = draw(st.lists(polys, min_size=1, max_size=3))
